@@ -354,6 +354,7 @@ def cmd_train(args) -> int:
         "ci_lower": interval.lower,
         "ci_upper": interval.upper,
         "bootstrap_replicates": evaluation["bootstrap_replicates"],
+        "bootstrap_redraws": interval.redraws,
         "alpha": evaluation["alpha"],
         "risk_mse": None,
         "provenance": prov,

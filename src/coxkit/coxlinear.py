@@ -22,6 +22,10 @@ DIVERGENCE_CAP = 50.0
 # likelihood rather than a singular design.
 _MONOTONE_BETA = 10.0
 
+# A log-likelihood drop of at most this many ulps of |ll| is rounding noise;
+# measured drops at convergence are 1-3 ulps.
+_ROUNDING_ULPS = 16
+
 
 class FitError(RuntimeError):
     """Raised when the partial likelihood cannot be maximized."""
@@ -147,15 +151,19 @@ def fit_cph(
         ll_new, grad_new, hess_new = _loglik_grad_hess(
             candidate, xs, es, starts, stops
         )
+        # At convergence the step is at rounding level and the new
+        # log-likelihood may round below the old one; that is no decrease
+        # and must not cost a halving, a full evaluation each.
+        floor = ll - _ROUNDING_ULPS * np.spacing(abs(ll))
         halvings = 0
-        while ll_new < ll and halvings < 30:
+        while ll_new < floor and halvings < 30:
             step = step / 2.0
             candidate = beta + step
             ll_new, grad_new, hess_new = _loglik_grad_hess(
                 candidate, xs, es, starts, stops
             )
             halvings += 1
-        if ll_new < ll:
+        if ll_new < floor:
             # No direction of improvement at machine precision.
             converged = True
             break

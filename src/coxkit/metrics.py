@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as sps
 
-_CHUNK = 256  # row block size for the pairwise concordance scan
-
 
 @dataclass(frozen=True)
 class KaplanMeierCurve:
@@ -43,11 +41,17 @@ class BootstrapInterval:
 
 def _validate_triples(times, events, risks):
     times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=np.int64)
+    raw_events = np.asarray(events)
     risks = np.asarray(risks, dtype=float)
-    if not times.shape == events.shape == risks.shape or times.ndim != 1:
+    if not times.shape == raw_events.shape == risks.shape or times.ndim != 1:
         raise ValueError("times, events, risks must be equal-length 1-d arrays")
-    return times, events, risks
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    if not np.all(np.isfinite(risks)):
+        raise ValueError("risks must be finite")
+    if not np.all((raw_events == 0) | (raw_events == 1)):
+        raise ValueError("events must contain only 0 or 1")
+    return times, raw_events.astype(np.int64), risks
 
 
 def concordance_index(times, events, risks) -> float:
@@ -58,29 +62,55 @@ def concordance_index(times, events, risks) -> float:
     is an event (the event is known to precede the censoring). Concordant
     means the earlier death carries the higher predicted risk; exact risk
     ties score 0.5. Pairs of events at identical times are not comparable.
+
+    The pairs are counted without visiting them, as in Knight's sort-based
+    Kendall tau. Patients are sorted by time, latest first, with censored
+    patients before events at a tied time, so each event's comparable set is
+    a prefix of that order: everyone before the run of events sharing its
+    time. A prefix splits into at most log2(n) aligned blocks of
+    power-of-two size, as in a Fenwick tree. For each block size, one sort
+    of the dense risk ranks within their blocks and two binary searches per
+    event count the lower and the equal risks in the event's block. That is
+    log2(n) vectorised passes of O(n log n) each, O(n log^2 n) in all, with
+    no loop over patients. Concordant pairs, risk ties and comparable pairs
+    are integers, so the result equals the pairwise sum of 1.0s and 0.5s
+    bit for bit.
     """
     times, events, risks = _validate_triples(times, events, risks)
     n = times.shape[0]
-    numerator = 0.0
-    comparable = 0
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        ti = times[start:stop, None]
-        ei = events[start:stop, None]
-        ri = risks[start:stop, None]
-        later = times[None, :] > ti
-        tied_time = times[None, :] == ti
-        usable = (ei == 1) & (later | (tied_time & (events[None, :] == 0)))
-        if not usable.any():
-            continue
-        score = np.where(
-            ri > risks[None, :], 1.0, np.where(ri == risks[None, :], 0.5, 0.0)
-        )
-        numerator += float(score[usable].sum())
-        comparable += int(usable.sum())
+    order = np.lexsort((events, -times))
+    sorted_times = times[order]
+    sorted_events = events[order]
+    distinct, rank = np.unique(risks, return_inverse=True)
+    rank = rank[order]
+    position = np.arange(n)
+    # A run of events at one time starts wherever the patient before is not
+    # an event at the same time; an event's prefix ends at its run's start.
+    run_start = np.ones(n, dtype=bool)
+    run_start[1:] = (sorted_times[1:] != sorted_times[:-1]) | (sorted_events[:-1] == 0)
+    run_first = np.maximum.accumulate(np.where(run_start, position, 0))
+    is_event = sorted_events == 1
+    prefix = run_first[is_event]
+    event_rank = rank[is_event]
+    comparable = int(prefix.sum())
     if comparable == 0:
         raise ValueError("no comparable pairs")
-    return numerator / comparable
+
+    lower = 0
+    ties = 0
+    for k in range(int(prefix.max()).bit_length()):
+        # Ranks sorted within blocks of 2**k positions: block b starts at
+        # b << k in `keys`, and a prefix with bit k set takes the block
+        # (prefix >> k) - 1.
+        takes_block = ((prefix >> k) & 1).astype(bool)
+        block = (prefix[takes_block] >> k) - 1
+        keys = np.sort((position >> k) * distinct.size + rank)
+        needle = block * distinct.size + event_rank[takes_block]
+        below = np.searchsorted(keys, needle, side="left")
+        up_to = np.searchsorted(keys, needle, side="right")
+        lower += int(below.sum()) - (int(block.sum()) << k)
+        ties += int((up_to - below).sum())
+    return (lower + 0.5 * ties) / comparable
 
 
 def bootstrap_ci(

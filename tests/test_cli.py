@@ -89,6 +89,7 @@ class TestTrainCommand:
         out = tmp_path / "out"
         metrics = json.loads((out / "metrics.json").read_text())
         assert {"c_index", "ci_lower", "ci_upper", "risk_mse"} <= set(metrics)
+        assert metrics["bootstrap_redraws"] == 0
         assert metrics["risk_mse"] is not None  # simulation carries true risks
         model = json.loads((out / "model.json").read_text())
         assert model["model_type"] == "deep_cox"

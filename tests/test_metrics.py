@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from coxkit.metrics import (
@@ -12,7 +14,7 @@ from coxkit.metrics import (
     write_km_csv,
 )
 from coxkit.simulate import SimulationSpec, generate
-from helpers import brute_force_cindex
+from helpers import brute_force_cindex, pair_scan_cindex
 
 
 class TestConcordance:
@@ -65,6 +67,108 @@ class TestConcordance:
             sim.dataset.times, sim.dataset.events, rng.normal(size=3000)
         )
         assert abs(c - 0.5) <= 0.02
+
+    def test_nan_risk_rejected(self):
+        with pytest.raises(ValueError, match="risks must be finite"):
+            concordance_index([1, 2, 3, 4], [1, 1, 1, 1], [1, np.nan, 0.5, 2])
+
+    def test_nan_time_rejected(self):
+        with pytest.raises(ValueError, match="times must be finite"):
+            concordance_index([1, np.nan, 3], [1, 1, 1], [3, 2, 1])
+
+    def test_event_outside_zero_one_rejected(self):
+        with pytest.raises(ValueError, match="events must contain only 0 or 1"):
+            concordance_index([1, 2, 3], [1, 1, 2], [3, 2, 1])
+
+
+def _large_instance(rng, n, kind):
+    """Large inputs with the ties the sort-based count must get right."""
+    times = rng.integers(1, 5, size=n).astype(float)  # a few distinct times
+    risks = rng.integers(-3, 4, size=n).astype(float)  # a few distinct risks
+    events = rng.integers(0, 2, size=n)
+    if kind == "tied_times":
+        risks = rng.normal(size=n)
+    elif kind == "tied_risks":
+        times = rng.uniform(1, 10, size=n)
+    elif kind == "all_events":
+        events = np.ones(n, dtype=int)
+    elif kind == "censored_90":
+        events = (rng.random(n) < 0.1).astype(int)
+    return times, events, risks
+
+
+class TestConcordanceLargeOracle:
+    @pytest.mark.parametrize("n", [1000, 5000])
+    @pytest.mark.parametrize(
+        "kind", ["tied_times", "tied_risks", "all_events", "censored_90"]
+    )
+    def test_matches_pair_scan_exactly(self, n, kind):
+        rng = np.random.default_rng(1000 + n + len(kind))
+        times, events, risks = _large_instance(rng, n, kind)
+        assert concordance_index(times, events, risks) == pair_scan_cindex(
+            times, events, risks
+        )
+
+
+# Heavily tied instances: a few distinct times and risks.
+_tied_rows = st.lists(
+    st.tuples(st.integers(1, 4), st.integers(0, 1), st.integers(-3, 3)),
+    min_size=1,
+    max_size=60,
+)
+
+
+def _columns(rows):
+    times, events, risks = (np.array(col) for col in zip(*rows))
+    return times.astype(float), events, risks.astype(float)
+
+
+class TestConcordanceProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_tied_rows)
+    def test_matches_brute_force(self, rows):
+        times, events, risks = _columns(rows)
+        try:
+            expected = brute_force_cindex(times, events, risks)
+        except ValueError:
+            with pytest.raises(ValueError, match="no comparable pairs"):
+                concordance_index(times, events, risks)
+            return
+        assert concordance_index(times, events, risks) == expected
+
+    @settings(deadline=None)
+    @given(_tied_rows, st.randoms(use_true_random=False))
+    def test_permutation_invariant(self, rows, random):
+        times, events, risks = _columns(rows)
+        perm = np.array(random.sample(range(len(rows)), len(rows)), dtype=int)
+        try:
+            expected = concordance_index(times, events, risks)
+        except ValueError:
+            return
+        assert concordance_index(times[perm], events[perm], risks[perm]) == expected
+
+    @settings(deadline=None)
+    @given(_tied_rows, st.sampled_from([np.exp, np.arctan, lambda r: r**3 + 2 * r]))
+    def test_monotone_transform_invariant(self, rows, transform):
+        times, events, risks = _columns(rows)
+        try:
+            expected = concordance_index(times, events, risks)
+        except ValueError:
+            return
+        assert concordance_index(times, events, transform(risks)) == expected
+
+    @settings(deadline=None)
+    @given(_tied_rows, st.randoms(use_true_random=False))
+    def test_negation_complement_without_risk_ties(self, rows, random):
+        times, events, _ = _columns(rows)
+        risks = np.array(random.sample(range(len(rows)), len(rows)), dtype=float)
+        try:
+            c = concordance_index(times, events, risks)
+        except ValueError:
+            return
+        assert c + concordance_index(times, events, -risks) == pytest.approx(
+            1.0, abs=1e-12
+        )
 
 
 class TestKaplanMeier:
