@@ -3,7 +3,7 @@
 The log partial likelihood is maximized by Newton-Raphson with analytic
 gradient and Hessian, step halving, and a divergence cap for monotone
 likelihoods (perfect separation). Tied event times share one risk-set
-denominator (Breslow).
+denominator (Breslow); the risk-set sums come from `coxkit.riskset`.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from coxkit.data import SortedSurvivalView, SurvivalDataset, sort_view
+from coxkit.riskset import breslow
 
 DIVERGENCE_CAP = 50.0
 
@@ -47,46 +48,14 @@ class LinearCoxModel:
             raise ValueError("beta must be finite")
 
 
-def _sorted_arrays(ds: SurvivalDataset, view: SortedSurvivalView):
-    perm = view.permutation
-    starts = view.tie_groups[:, 0]
-    stops = view.tie_groups[:, 1]
-    return ds.covariates[perm], ds.events[perm], starts, stops
+def _newton_terms(beta, xs, es, tie_groups):
+    """Log partial likelihood, gradient X^T (e - a) and Hessian M^T M - X^T diag(a) X.
 
-
-def _loglik_grad_hess(beta, xs, es, starts, stops, want_derivatives=True):
-    """Log partial likelihood (Breslow ties) and optional derivatives.
-
-    `xs`/`es` are in descending-time order; the risk set of any event in tie
-    group g is the sorted prefix [0, stops[g]). Prefix sums of exp-risk
-    moments over that order give every denominator at once; the exponent is
-    max-shifted for stability.
+    Rows in descending-time order; a and M (each event's risk-set mean of x)
+    come from `breslow`. O(n d^2) time, O(n d) memory.
     """
-    eta = xs @ beta
-    shift = eta.max()
-    w = np.exp(eta - shift)
-
-    deaths = np.add.reduceat(es, starts)
-    # reduceat on an empty trailing slice repeats the last element; starts
-    # always partition [0, n) so every slice is non-empty.
-    event_groups = deaths > 0
-    d_g = deaths[event_groups].astype(float)
-    ends = stops[event_groups] - 1
-
-    s0 = np.cumsum(w)[ends]
-    ll = float(eta[es == 1].sum() - (d_g * (shift + np.log(s0))).sum())
-    if not want_derivatives:
-        return ll, None, None
-
-    wx = w[:, None] * xs
-    s1 = np.cumsum(wx, axis=0)[ends]
-    s2 = np.cumsum(wx[:, :, None] * xs[:, None, :], axis=0)[ends]
-
-    mean = s1 / s0[:, None]
-    grad = xs[es == 1].sum(axis=0) - (d_g[:, None] * mean).sum(axis=0)
-    cov = s2 / s0[:, None, None] - mean[:, :, None] * mean[:, None, :]
-    hess = -(d_g[:, None, None] * cov).sum(axis=0)
-    return ll, grad, hess
+    ll, at_risk, means = breslow(xs @ beta, es, tie_groups, xs)
+    return ll, xs.T @ (es - at_risk), means.T @ means - (xs.T * at_risk) @ xs
 
 
 def cox_log_likelihood(
@@ -100,8 +69,8 @@ def cox_log_likelihood(
         raise ValueError("no observed events")
     if view is None:
         view = sort_view(ds)
-    xs, es, starts, stops = _sorted_arrays(ds, view)
-    ll, _, _ = _loglik_grad_hess(beta, xs, es, starts, stops, want_derivatives=False)
+    eta = (ds.covariates @ beta)[view.permutation]
+    ll, _, _ = breslow(eta, ds.events[view.permutation], view.tie_groups, weights=False)
     return ll
 
 
@@ -119,10 +88,10 @@ def fit_cph(
     if ds.n_events == 0:
         raise ValueError("no observed events")
     view = sort_view(ds)
-    xs, es, starts, stops = _sorted_arrays(ds, view)
+    xs, es = ds.covariates[view.permutation], ds.events[view.permutation]
 
     beta = np.zeros(ds.d)
-    ll, grad, hess = _loglik_grad_hess(beta, xs, es, starts, stops)
+    ll, grad, hess = _newton_terms(beta, xs, es, view.tie_groups)
     iterations = 0
     converged = False
     diverged = False
@@ -148,9 +117,7 @@ def fit_cph(
         step = -step  # hess is negative definite at a maximum
 
         candidate = beta + step
-        ll_new, grad_new, hess_new = _loglik_grad_hess(
-            candidate, xs, es, starts, stops
-        )
+        ll_new, grad_new, hess_new = _newton_terms(candidate, xs, es, view.tie_groups)
         # At convergence the step is at rounding level and the new
         # log-likelihood may round below the old one; that is no decrease
         # and must not cost a halving, a full evaluation each.
@@ -159,9 +126,7 @@ def fit_cph(
         while ll_new < floor and halvings < 30:
             step = step / 2.0
             candidate = beta + step
-            ll_new, grad_new, hess_new = _loglik_grad_hess(
-                candidate, xs, es, starts, stops
-            )
+            ll_new, grad_new, hess_new = _newton_terms(candidate, xs, es, view.tie_groups)
             halvings += 1
         if ll_new < floor:
             # No direction of improvement at machine precision.

@@ -155,13 +155,6 @@ class SortedSurvivalView:
     def n(self) -> int:
         return self.permutation.shape[0]
 
-    def group_of_sorted(self) -> np.ndarray:
-        """Group index for each position in sorted order."""
-        out = np.empty(self.n, dtype=np.int64)
-        for g, (start, stop) in enumerate(self.tie_groups):
-            out[start:stop] = g
-        return out
-
 
 def sort_view(ds: SurvivalDataset) -> SortedSurvivalView:
     """Order patients by descending time, grouping exact ties."""

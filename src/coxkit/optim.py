@@ -24,7 +24,7 @@ from coxkit.riskmlp import (
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when training hits a non-finite loss."""
+    """Raised when training hits a non-finite loss or validation risk."""
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ def train(
     Full-batch by default, so each epoch's risk sets span the whole training
     set; `batch_size` switches to within-batch risk sets, a biased but cheaper
     approximation. Deterministic for fixed seeds. Raises TrainingDiverged on
-    a non-finite loss, naming the epoch.
+    a non-finite loss or validation risk, naming the epoch.
     """
     if train_ds.n_events == 0:
         raise ValueError("no observed events")
@@ -220,6 +220,8 @@ def train(
         history.learning_rates.append(lr)
         if val_ds is not None:
             val_risks = forward(net, val_ds.covariates, mode="infer")
+            if not np.all(np.isfinite(val_risks)):
+                raise TrainingDiverged(f"non-finite validation risks at epoch {epoch}")
             history.val_cindex.append(
                 concordance_index(val_ds.times, val_ds.events, val_risks)
             )

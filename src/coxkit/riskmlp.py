@@ -3,9 +3,8 @@ estimates a patient's log-risk, trained on the negative log partial
 likelihood.
 
 Forward, loss, and gradients are hand-derived numpy; no autodiff. The loss
-gradient with respect to the per-patient risks is computed in O(n) after
-sorting, via prefix sums over descending-time order and suffix sums over the
-per-event inverse denominators.
+and its gradient with respect to the per-patient risks come from the Breslow
+risk-set sums in `coxkit.riskset`, O(n) after sorting.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from coxkit.data import SortedSurvivalView, SurvivalDataset
+from coxkit.riskset import breslow
 
 SELU_ALPHA = 1.6732632423543772
 SELU_LAMBDA = 1.0507009873554805
@@ -80,9 +80,8 @@ class RiskNetwork:
 
 @dataclass(frozen=True)
 class LossGradients:
-    """Gradient of the loss with respect to risks and all parameters."""
+    """Gradient of the loss with respect to all parameters."""
 
-    d_risk: np.ndarray
     weight_grads: list[np.ndarray] = field(default_factory=list)
     bias_grads: list[np.ndarray] = field(default_factory=list)
 
@@ -176,22 +175,14 @@ def forward_cached(
     return _run_forward(net, x, True, rng)
 
 
-def _sorted_loss_pieces(risks, ds, view):
+def _breslow(risks, ds, view, weights):
     risks = np.asarray(risks, dtype=float)
     if risks.shape != (ds.n,):
         raise ValueError("risks length must match dataset size")
     if ds.n_events == 0:
         raise ValueError("batch has no observed events")
     perm = view.permutation
-    starts = view.tie_groups[:, 0]
-    stops = view.tie_groups[:, 1]
-    h = risks[perm]
-    e = ds.events[perm]
-    shift = h.max()
-    w = np.exp(h - shift)
-    deaths = np.add.reduceat(e, starts).astype(float)
-    denoms = np.cumsum(w)[stops - 1]
-    return h, e, w, shift, starts, stops, deaths, denoms
+    return breslow(risks[perm], ds.events[perm], view.tie_groups, weights=weights)
 
 
 def cox_loss(
@@ -204,14 +195,9 @@ def cox_loss(
     """Negative log partial likelihood of the risks, plus l2 * sum(weights^2).
 
     Risk sets are formed within the supplied dataset (the batch), with
-    Breslow handling of ties; the log-sum-exp denominators are max-shifted.
+    Breslow handling of ties; finite risks give a finite loss.
     """
-    h, e, _, shift, _, _, deaths, denoms = _sorted_loss_pieces(risks, ds, view)
-    # a denominator underflows to 0 only for wildly divergent risks; the
-    # resulting non-finite loss is the caller's divergence signal
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ll = h[e == 1].sum() - (deaths * (shift + np.log(denoms))).sum()
-    loss = -float(ll)
+    loss = -_breslow(risks, ds, view, weights=False)[0]
     if l2_coefficient > 0.0:
         if net is None:
             raise ValueError("l2 penalty requires the network")
@@ -222,19 +208,12 @@ def cox_loss(
 def cox_loss_grad(risks, ds: SurvivalDataset, view: SortedSurvivalView) -> np.ndarray:
     """d(loss)/d(risk_k), in original patient order.
 
-    Patient k appears in the denominator of every event at a time <= its own;
-    the per-event inverse denominators are suffix-summed over tie groups so
-    the whole gradient costs O(n) after sorting.
+    Patient k appears in the denominator of every event at a time <= its own,
+    so the gradient is its at-risk weight minus its event indicator.
     """
-    _, e, w, _, starts, stops, deaths, denoms = _sorted_loss_pieces(risks, ds, view)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = deaths / denoms
-    suffix = np.cumsum(inv[::-1])[::-1]
-    per_patient = np.repeat(suffix, stops - starts)
-    d_sorted = -e + w * per_patient
-    out = np.empty_like(d_sorted, dtype=float)
-    out[view.permutation] = d_sorted
-    return out
+    out = np.empty(ds.n)
+    out[view.permutation] = _breslow(risks, ds, view, weights=True)[1]
+    return out - ds.events
 
 
 def backward(
@@ -273,7 +252,7 @@ def backward(
         bias_grads[layer] = g.sum(axis=0)
         if layer > 0:
             g = g @ net.weights[layer].T
-    return LossGradients(d_risk=d_risk, weight_grads=weight_grads, bias_grads=bias_grads)
+    return LossGradients(weight_grads=weight_grads, bias_grads=bias_grads)
 
 
 def to_dict(net: RiskNetwork) -> dict:

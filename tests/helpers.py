@@ -97,6 +97,35 @@ def pair_scan_cindex(times, events, risks) -> float:
     return numerator / comparable
 
 
+def cumsum_loglik_grad_hess(beta, xs, es, starts, stops):
+    """Breslow log partial likelihood, gradient and Hessian of a linear Cox model.
+
+    The oracle for `coxkit.coxlinear`: `xs`/`es` in descending-time order,
+    one max-shifted prefix sum per moment, and the second moments from an
+    (n, d, d) cumulative sum, with no at-risk weights or suffix sums.
+    """
+    eta = xs @ beta
+    shift = eta.max()
+    w = np.exp(eta - shift)
+
+    deaths = np.add.reduceat(es, starts)
+    event_groups = deaths > 0
+    d_g = deaths[event_groups].astype(float)
+    ends = stops[event_groups] - 1
+
+    s0 = np.cumsum(w)[ends]
+    ll = float(eta[es == 1].sum() - (d_g * (shift + np.log(s0))).sum())
+    wx = w[:, None] * xs
+    s1 = np.cumsum(wx, axis=0)[ends]
+    s2 = np.cumsum(wx[:, :, None] * xs[:, None, :], axis=0)[ends]
+
+    mean = s1 / s0[:, None]
+    grad = xs[es == 1].sum(axis=0) - (d_g[:, None] * mean).sum(axis=0)
+    cov = s2 / s0[:, None, None] - mean[:, :, None] * mean[:, None, :]
+    hess = -(d_g[:, None, None] * cov).sum(axis=0)
+    return ll, grad, hess
+
+
 def numeric_gradient(fn, x0: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central finite differences of a scalar function of a flat vector."""
     x0 = np.asarray(x0, dtype=float)

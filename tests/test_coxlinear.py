@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxkit import coxlinear
 from coxkit.coxlinear import (
     FitError,
     LinearCoxModel,
-    _loglik_grad_hess,
-    _sorted_arrays,
+    _newton_terms,
     cox_log_likelihood,
     cph_recommender,
     fit_cph,
@@ -17,11 +20,16 @@ from coxkit.coxlinear import (
 from coxkit.data import SurvivalDataset, sort_view
 from coxkit.metrics import concordance_index
 from coxkit.simulate import SimulationSpec, generate
-from helpers import numeric_gradient, random_dataset
+from helpers import cumsum_loglik_grad_hess, numeric_gradient, random_dataset
 
 
 def two_patient_ds():
     return SurvivalDataset(covariates=[[1.0], [0.0]], times=[1.0, 2.0], events=[1, 1])
+
+
+def sorted_arrays(ds, view):
+    perm = view.permutation
+    return ds.covariates[perm], ds.events[perm], view.tie_groups
 
 
 class TestLogLikelihood:
@@ -64,9 +72,9 @@ class TestLogLikelihood:
         for _ in range(10):
             ds = random_dataset(rng, n=int(rng.integers(5, 40)), d=3, tie_times=True)
             view = sort_view(ds)
-            xs, es, starts, stops = _sorted_arrays(ds, view)
+            xs, es, groups = sorted_arrays(ds, view)
             beta = rng.normal(scale=0.7, size=3)
-            _, grad, _ = _loglik_grad_hess(beta, xs, es, starts, stops)
+            _, grad, _ = _newton_terms(beta, xs, es, groups)
             fd = numeric_gradient(lambda b: cox_log_likelihood(b, ds, view), beta)
             assert np.all(
                 np.abs(grad - fd) <= 1e-6 * np.maximum(1.0, np.abs(fd))
@@ -76,15 +84,59 @@ class TestLogLikelihood:
         rng = np.random.default_rng(13)
         ds = random_dataset(rng, n=25, d=2)
         view = sort_view(ds)
-        xs, es, starts, stops = _sorted_arrays(ds, view)
+        xs, es, groups = sorted_arrays(ds, view)
         beta = np.array([0.4, -0.2])
-        _, _, hess = _loglik_grad_hess(beta, xs, es, starts, stops)
+        _, _, hess = _newton_terms(beta, xs, es, groups)
         for k in range(2):
             def grad_k(b):
-                _, g, _ = _loglik_grad_hess(b, xs, es, starts, stops)
+                _, g, _ = _newton_terms(b, xs, es, groups)
                 return g[k]
             row = numeric_gradient(grad_k, beta)
             assert np.allclose(hess[k], row, rtol=1e-5, atol=1e-7)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 60),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5),
+    )
+    def test_matches_cumsum_oracle(self, n, d, seed, coefs):
+        ds = random_dataset(np.random.default_rng(seed), n=n, d=d, tie_times=True)
+        xs, es, groups = sorted_arrays(ds, sort_view(ds))
+        beta = np.array(coefs[:d])
+        got = _newton_terms(beta, xs, es, groups)
+        want = cumsum_loglik_grad_hess(beta, xs, es, groups[:, 0], groups[:, 1])
+        # Gradient and Hessian entries are differences of sums over all
+        # patients, so an entry near 0 keeps the rounding error of those
+        # sums (measured up to 1e-15 of `scale`).
+        scale = 1e-13 * np.abs(xs).sum() * max(1.0, np.abs(xs).max())
+        assert got[0] == pytest.approx(want[0], rel=1e-10)
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-10, atol=scale)
+        np.testing.assert_allclose(got[2], want[2], rtol=1e-10, atol=scale)
+
+    def test_derivatives_when_late_risks_underflow(self):
+        # The six latest patients sit about 900 below the others on x0, so
+        # their risk sets underflow a shift by the largest risk.
+        rng = np.random.default_rng(3)
+        x0 = np.concatenate([rng.normal(400.0, 1.0, 6), rng.normal(-500.0, 1.0, 6)])
+        times = np.arange(1.0, 13.0)
+        times[7] = times[8]
+        ds = SurvivalDataset(
+            covariates=np.column_stack([x0, rng.normal(size=12)]),
+            times=times,
+            events=np.ones(12, dtype=int),
+        )
+        view = sort_view(ds)
+        xs, es, groups = sorted_arrays(ds, view)
+        beta = np.array([1.0, 0.5])
+        ll, grad, hess = _newton_terms(beta, xs, es, groups)
+        assert ll == pytest.approx(cox_log_likelihood(beta, ds, view), rel=1e-12)
+        fd = numeric_gradient(lambda b: cox_log_likelihood(b, ds, view), beta)
+        np.testing.assert_allclose(grad, fd, rtol=1e-6)
+        for k in range(2):
+            row = numeric_gradient(lambda b: _newton_terms(b, xs, es, groups)[1][k], beta)
+            np.testing.assert_allclose(hess[k], row, rtol=1e-4)
 
 
 class TestFit:
@@ -166,12 +218,23 @@ class TestFit:
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return _loglik_grad_hess(*args, **kwargs)
+            return _newton_terms(*args, **kwargs)
 
-        monkeypatch.setattr(coxlinear, "_loglik_grad_hess", counted)
+        monkeypatch.setattr(coxlinear, "_newton_terms", counted)
         model = fit_cph(generate(SimulationSpec(n=200, d=5, seed=seed)).dataset)
         assert model.converged
         assert len(calls) == model.iterations + 1
+
+    def test_memory_linear_in_d(self):
+        # The (n, d, d) cumulative sum of second moments took 68.5 MiB here.
+        ds = generate(SimulationSpec(n=2000, d=40, seed=5)).dataset
+        tracemalloc.start()
+        try:
+            fit_cph(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestPredictAndRecommender:

@@ -26,6 +26,12 @@ def simple_ds():
     )
 
 
+def three_events_ds():
+    return SurvivalDataset(
+        covariates=[[0.0]] * 3, times=[1.0, 2.0, 3.0], events=[1, 1, 1]
+    )
+
+
 def passthrough_net():
     """Hand-built ReLU net computing exactly x0 + 2*x1."""
     w0 = np.array([[1.0, -1.0], [2.0, -2.0]])
@@ -188,6 +194,12 @@ class TestCoxLoss:
         loss = cox_loss(np.array([800.0, 799.0]), ds, sort_view(ds))
         assert np.isfinite(loss)
 
+    def test_exact_when_risks_spread_past_underflow(self):
+        # exp(0 - 800) underflows; the two later risk sets hold only risk 0
+        ds = three_events_ds()
+        loss = cox_loss(np.array([800.0, 0.0, 0.0]), ds, sort_view(ds))
+        assert loss == pytest.approx(np.log(2.0), abs=1e-12)
+
 
 class TestCoxLossGrad:
     def test_symmetric_two_events(self):
@@ -201,6 +213,21 @@ class TestCoxLossGrad:
             ds = random_dataset(rng, n=int(rng.integers(2, 25)), tie_times=True)
             view = sort_view(ds)
             h = rng.normal(size=ds.n)
+            grad = cox_loss_grad(h, ds, view)
+            fd = numeric_gradient(lambda hh: cox_loss(hh, ds, view), h, eps=1e-5)
+            assert np.all(np.abs(grad - fd) <= 1e-6 * np.maximum(1.0, np.abs(fd)))
+
+    def test_exact_when_risks_spread_past_underflow(self):
+        ds = three_events_ds()
+        grad = cox_loss_grad(np.array([800.0, 0.0, 0.0]), ds, sort_view(ds))
+        assert np.allclose(grad, [0.0, -0.5, 0.5], atol=1e-12)
+
+    def test_matches_finite_differences_at_risk_spread_1000(self):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            ds = random_dataset(rng, n=int(rng.integers(2, 25)), tie_times=True)
+            view = sort_view(ds)
+            h = rng.normal(size=ds.n) + 1000.0 * rng.integers(-1, 2, size=ds.n)
             grad = cox_loss_grad(h, ds, view)
             fd = numeric_gradient(lambda hh: cox_loss(hh, ds, view), h, eps=1e-5)
             assert np.all(np.abs(grad - fd) <= 1e-6 * np.maximum(1.0, np.abs(fd)))
