@@ -88,10 +88,17 @@ class LossGradients:
 
 @dataclass(frozen=True)
 class ForwardCache:
-    """Intermediates of one train-mode forward pass, reused by backward."""
+    """Intermediates of one train-mode forward pass, reused by backward.
+
+    `derivatives[k]` is the activation's derivative at `pre_activations[k]`,
+    computed in the same pass as the activation, so backward never
+    re-evaluates it. `dropout_masks[k]` is the boolean mask of retained units
+    (None without dropout); retained units are scaled by 1/(1-p) after it.
+    """
 
     layer_inputs: list[np.ndarray]
     pre_activations: list[np.ndarray]
+    derivatives: list[np.ndarray]
     dropout_masks: list[np.ndarray | None]
 
 
@@ -109,22 +116,38 @@ def init_network(config: NetworkConfig, d: int, seed: int) -> RiskNetwork:
     return RiskNetwork(weights=weights, biases=biases, config=config)
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    # exp argument clamped at 0: the positive branch never uses it, and
-    # np.where evaluates both branches
-    return SELU_LAMBDA * np.where(
-        z > 0.0, z, SELU_ALPHA * np.expm1(np.minimum(z, 0.0))
-    )
+def _activate(
+    z: np.ndarray, kind: str, grad: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Activation of the pre-activations `z`, and with `grad` its derivative.
 
+    Returns `(h, dh/dz)`, the derivative None without `grad`. Branch-free, so
+    the cost does not depend on the signs of `z`:
 
-def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
+        relu(z) = max(z, 0)                           relu'(z) = [z > 0]
+        selu(z) = λ·(max(z, 0) + α·expm1(min(z, 0)))
+        selu'(z) = λ·([z > 0] + [z <= 0]·α·exp(min(z, 0)))
+
+    Each entry adds an exact 0 or multiplies by an exact 0 or 1, so the floats
+    equal the two-branch definitions (Klambauer et al. 2017).
+    """
+    h = np.maximum(z, 0.0)
     if kind == "relu":
-        return (z > 0.0).astype(float)
-    return SELU_LAMBDA * np.where(
-        z > 0.0, 1.0, SELU_ALPHA * np.exp(np.minimum(z, 0.0))
-    )
+        return h, (z > 0.0) if grad else None
+    neg = np.minimum(z, 0.0)
+    deriv = None
+    if grad:
+        pos = z > 0.0
+        deriv = np.exp(neg)
+        deriv *= SELU_ALPHA
+        deriv *= ~pos
+        deriv += pos
+        deriv *= SELU_LAMBDA
+    np.expm1(neg, out=neg)
+    neg *= SELU_ALPHA
+    h += neg
+    h *= SELU_LAMBDA
+    return h, deriv
 
 
 def _run_forward(net, x, train, rng):
@@ -134,22 +157,26 @@ def _run_forward(net, x, train, rng):
     if x.shape[1] != net.input_dim:
         raise ValueError(f"input has {x.shape[1]} columns, network expects {net.input_dim}")
     p = net.config.dropout_rate
-    inputs, pre_acts, masks = [], [], []
+    inputs, pre_acts, derivs, masks = [], [], [], []
     a = x
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        z = a @ w + b
-        h = _activate(z, net.config.activation)
+        z = a @ w
+        z += b
+        h, deriv = _activate(z, net.config.activation, grad=train)
         mask = None
         if train and p > 0.0:
-            mask = (rng.random(h.shape) >= p) / (1.0 - p)
-            h = h * mask
+            mask = rng.random(h.shape) >= p
+            h *= mask
+            h *= 1.0 / (1.0 - p)
         inputs.append(a)
         pre_acts.append(z)
+        derivs.append(deriv)
         masks.append(mask)
         a = h
     inputs.append(a)
-    risks = (a @ net.weights[-1] + net.biases[-1])[:, 0]
-    return risks, ForwardCache(inputs, pre_acts, masks)
+    out = a @ net.weights[-1]
+    out += net.biases[-1]
+    return out[:, 0], ForwardCache(inputs, pre_acts, derivs, masks)
 
 
 def forward(
@@ -226,7 +253,9 @@ def backward(
 
     Adds the weight-decay term 2 * l2 * W to every weight gradient (biases
     are not penalized). The cache must come from `forward_cached` on the same
-    inputs so dropout masks line up.
+    inputs and network: each hidden layer's gradient is scaled by its cached
+    dropout mask and 1/(1-p), then by its cached activation derivative, with
+    no activation re-evaluated here.
     """
     d_risk = np.asarray(d_risk, dtype=float)
     n_layers = len(net.weights)
@@ -242,10 +271,12 @@ def backward(
     bias_grads[-1] = g.sum(axis=0)
     g = g @ net.weights[-1].T
     for layer in range(n_layers - 2, -1, -1):
+        # g is a fresh matmul product, so it can be scaled in place
         mask = cache.dropout_masks[layer]
         if mask is not None:
-            g = g * mask
-        g = g * _activate_grad(cache.pre_activations[layer], net.config.activation)
+            g *= mask
+            g *= 1.0 / (1.0 - net.config.dropout_rate)
+        g *= cache.derivatives[layer]
         weight_grads[layer] = (
             cache.layer_inputs[layer].T @ g + 2.0 * l2_coefficient * net.weights[layer]
         )

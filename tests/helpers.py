@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from coxkit.data import SurvivalDataset
+from coxkit.riskmlp import SELU_ALPHA, SELU_LAMBDA
 
 
 def random_dataset(
@@ -124,6 +125,83 @@ def cumsum_loglik_grad_hess(beta, xs, es, starts, stops):
     cov = s2 / s0[:, None, None] - mean[:, :, None] * mean[:, None, :]
     hess = -(d_g[:, None, None] * cov).sum(axis=0)
     return ll, grad, hess
+
+
+def two_branch_activate(z, kind):
+    """ReLU or SELU by its two-branch definition, one `np.where` per call.
+
+    The oracle for `coxkit.riskmlp._activate`, which computes the same floats
+    without branches.
+    """
+    if kind == "relu":
+        return np.maximum(z, 0.0)
+    return SELU_LAMBDA * np.where(
+        z > 0.0, z, SELU_ALPHA * np.expm1(np.minimum(z, 0.0))
+    )
+
+
+def two_branch_activate_grad(z, kind):
+    """Derivative of `two_branch_activate`, evaluated afresh from `z`."""
+    if kind == "relu":
+        return (z > 0.0).astype(float)
+    return SELU_LAMBDA * np.where(
+        z > 0.0, 1.0, SELU_ALPHA * np.exp(np.minimum(z, 0.0))
+    )
+
+
+def reference_forward(net, x, train, rng):
+    """Risks and `(inputs, pre_activations, masks)` of the risk network.
+
+    The oracle for `coxkit.riskmlp` forward passes: out-of-place arithmetic,
+    the two-branch activation, and the inverted-dropout mask drawn from `rng`
+    in the same order as the library (one `rng.random` per hidden layer).
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x[None, :]
+    p = net.config.dropout_rate
+    inputs, pre_acts, masks = [], [], []
+    a = x
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        z = a @ w + b
+        h = two_branch_activate(z, net.config.activation)
+        mask = None
+        if train and p > 0.0:
+            mask = (rng.random(h.shape) >= p) / (1.0 - p)
+            h = h * mask
+        inputs.append(a)
+        pre_acts.append(z)
+        masks.append(mask)
+        a = h
+    inputs.append(a)
+    risks = (a @ net.weights[-1] + net.biases[-1])[:, 0]
+    return risks, (inputs, pre_acts, masks)
+
+
+def reference_backward(net, cache, d_risk, l2_coefficient=0.0):
+    """Weight and bias gradients through a `reference_forward` cache.
+
+    Re-evaluates each activation's derivative from the pre-activations.
+    """
+    inputs, pre_acts, masks = cache
+    n_layers = len(net.weights)
+    weight_grads = [None] * n_layers
+    bias_grads = [None] * n_layers
+    g = np.asarray(d_risk, dtype=float)[:, None]
+    weight_grads[-1] = inputs[-1].T @ g + 2.0 * l2_coefficient * net.weights[-1]
+    bias_grads[-1] = g.sum(axis=0)
+    g = g @ net.weights[-1].T
+    for layer in range(n_layers - 2, -1, -1):
+        if masks[layer] is not None:
+            g = g * masks[layer]
+        g = g * two_branch_activate_grad(pre_acts[layer], net.config.activation)
+        weight_grads[layer] = (
+            inputs[layer].T @ g + 2.0 * l2_coefficient * net.weights[layer]
+        )
+        bias_grads[layer] = g.sum(axis=0)
+        if layer > 0:
+            g = g @ net.weights[layer].T
+    return weight_grads, bias_grads
 
 
 def numeric_gradient(fn, x0: np.ndarray, eps: float = 1e-6) -> np.ndarray:

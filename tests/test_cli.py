@@ -150,6 +150,8 @@ class TestTrainCommand:
         config = make_train_config(tmp_path, typo_key=1)
         assert run(["train", "--config", str(config)]) == 2
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_divergent_training_exit_1(self, tmp_path):
         config = make_train_config(
             tmp_path,

@@ -107,6 +107,8 @@ class TestTrain:
         diffs = np.diff(history.train_loss[10:])
         assert np.all(diffs <= 1e-6)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_divergence_names_epoch(self):
         ds = self.linear_toy()
         opt_cfg = OptimizerConfig(kind="sgd", learning_rate=1e6, momentum=0.0, epochs=100, seed=5)
@@ -250,6 +252,8 @@ class TestRandomSearch:
         assert trials[0]["network"] == net
         assert trials[0]["optimizer"] == opt
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_divergent_trials_score_zero_and_tie_break(self):
         space = SearchSpace(learning_rate=(1e8, 1e9))
         _, _, trials = random_search(

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coxkit.data import SurvivalDataset, sort_view
 from coxkit.riskmlp import (
@@ -17,7 +21,14 @@ from coxkit.riskmlp import (
     init_network,
     to_dict,
 )
-from helpers import numeric_gradient, random_dataset
+from helpers import (
+    numeric_gradient,
+    random_dataset,
+    reference_backward,
+    reference_forward,
+    two_branch_activate,
+    two_branch_activate_grad,
+)
 
 
 def simple_ds():
@@ -81,13 +92,13 @@ class TestInit:
 
 class TestForward:
     def test_activation_definitions(self):
-        assert _activate(np.array([0.0]), "selu")[0] == 0.0
-        assert _activate(np.array([-1.0]), "relu")[0] == 0.0
+        assert _activate(np.array([0.0]), "selu")[0][0] == 0.0
+        assert _activate(np.array([-1.0]), "relu")[0][0] == 0.0
         z = np.array([-2.0])
-        assert _activate(z, "selu")[0] == pytest.approx(
+        assert _activate(z, "selu")[0][0] == pytest.approx(
             SELU_LAMBDA * SELU_ALPHA * (np.exp(-2.0) - 1.0), abs=1e-12
         )
-        assert _activate(np.array([1.3]), "selu")[0] == pytest.approx(
+        assert _activate(np.array([1.3]), "selu")[0][0] == pytest.approx(
             SELU_LAMBDA * 1.3, abs=1e-12
         )
 
@@ -128,6 +139,140 @@ class TestForward:
         net = init_network(NetworkConfig(), d=2, seed=0)
         with pytest.raises(ValueError, match="mode"):
             forward(net, np.zeros((1, 2)), mode="test")
+
+
+# zeros of both signs, the smallest subnormal, a subnormal near the normal
+# range, and magnitudes where exp underflows or SELU's positive part is huge
+_SPECIAL_PRE_ACTIVATIONS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300,
+    800.0, -800.0, 1e300, -1e300,
+]
+_pre_activations = st.lists(
+    st.one_of(
+        st.sampled_from(_SPECIAL_PRE_ACTIVATIONS),
+        st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBranchFreeActivation:
+    @settings(max_examples=300, deadline=None)
+    @given(_pre_activations, st.sampled_from(["relu", "selu"]))
+    @example(_SPECIAL_PRE_ACTIVATIONS, "relu")
+    @example(_SPECIAL_PRE_ACTIVATIONS, "selu")
+    def test_matches_two_branch_oracle(self, values, kind):
+        z = np.array(values).reshape(-1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            h, deriv = _activate(z, kind, grad=True)
+            h_infer, no_deriv = _activate(z, kind)
+            want_h = two_branch_activate(z, kind)
+            want_deriv = two_branch_activate_grad(z, kind)
+        assert no_deriv is None
+        assert _bitwise_equal(h, want_h)
+        assert _bitwise_equal(h_infer, want_h)
+        assert np.array_equal(deriv, want_deriv)
+        if kind == "selu":
+            assert _bitwise_equal(deriv, want_deriv)
+        assert np.all(np.isfinite(h)) and np.all(np.isfinite(deriv))
+
+
+def _oracle_problem(activation, hidden_layers, dropout_rate, rows):
+    cfg = NetworkConfig(
+        hidden_layers=hidden_layers,
+        nodes_per_layer=7,
+        activation=activation,
+        dropout_rate=dropout_rate,
+        l2_coefficient=0.05,
+    )
+    net = init_network(cfg, d=4, seed=41)
+    rng = np.random.default_rng(42)
+    for b in net.biases:
+        b += rng.normal(scale=0.5, size=b.shape)
+    shape = 4 if rows == "1-D" else (rows, 4)
+    x = rng.normal(scale=2.0, size=shape)
+    d_risk = rng.normal(size=1 if rows == "1-D" else rows)
+    return net, x, d_risk
+
+
+def _cache_buffers(cache):
+    """Every array a cache owns: all but the first layer input, the caller's x."""
+    groups = (
+        cache.layer_inputs[1:],
+        cache.pre_activations,
+        cache.derivatives,
+        cache.dropout_masks,
+    )
+    return [a for group in groups for a in group if a is not None]
+
+
+class TestForwardBackwardOracle:
+    """forward, forward_cached and backward equal the two-branch,
+    out-of-place network of `helpers.reference_forward` bit for bit."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 300, "1-D"])
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.4])
+    @pytest.mark.parametrize("hidden_layers", [1, 2, 3])
+    @pytest.mark.parametrize("activation", ["relu", "selu"])
+    def test_matches_reference(self, activation, hidden_layers, dropout_rate, rows):
+        net, x, d_risk = _oracle_problem(activation, hidden_layers, dropout_rate, rows)
+        inputs = [x, d_risk] + net.weights + net.biases
+        saved = [a.copy() for a in inputs]
+
+        want_infer, _ = reference_forward(net, x, False, None)
+        assert _bitwise_equal(forward(net, x), want_infer)
+        want_train, want_cache = reference_forward(net, x, True, np.random.default_rng(13))
+        assert _bitwise_equal(forward(net, x, mode="train", dropout_rng=13), want_train)
+
+        risks, cache = forward_cached(net, x, dropout_rng=13)
+        assert _bitwise_equal(risks, want_train)
+        want_inputs, want_pre, want_masks = want_cache
+        for got, want in zip(cache.layer_inputs, want_inputs):
+            assert _bitwise_equal(got, want)
+        for got, want in zip(cache.pre_activations, want_pre):
+            assert _bitwise_equal(got, want)
+        for got, want in zip(cache.dropout_masks, want_masks):
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == bool
+                assert _bitwise_equal(got * (1.0 / (1.0 - dropout_rate)), want)
+        for got, z in zip(cache.derivatives, cache.pre_activations):
+            assert np.array_equal(got, two_branch_activate_grad(z, activation))
+
+        cached = [a.copy() for a in _cache_buffers(cache)]
+        grads = backward(net, cache, d_risk, net.config.l2_coefficient)
+        want_w, want_b = reference_backward(net, want_cache, d_risk, net.config.l2_coefficient)
+        for got, want in zip(grads.weight_grads + grads.bias_grads, want_w + want_b):
+            assert _bitwise_equal(got, want)
+
+        for got, want in zip(_cache_buffers(cache), cached):
+            assert _bitwise_equal(got, want)
+        for got, want in zip(inputs, saved):
+            assert _bitwise_equal(got, want)
+
+    @pytest.mark.parametrize("rows", [2, 300, "1-D"])
+    @pytest.mark.parametrize("activation", ["relu", "selu"])
+    def test_successive_caches_share_no_buffer(self, activation, rows):
+        net, x, _ = _oracle_problem(activation, 2, 0.4, rows)
+        risks_a, cache_a = forward_cached(net, x, dropout_rng=13)
+        risks_b, cache_b = forward_cached(net, x, dropout_rng=13)
+        owned_a = _cache_buffers(cache_a) + [risks_a]
+        owned_b = _cache_buffers(cache_b) + [risks_b]
+        caller = [x] + net.weights + net.biases
+        for a in owned_a:
+            for b in owned_b + caller:
+                assert not np.shares_memory(a, b)
+        for b in owned_b:
+            for c in caller:
+                assert not np.shares_memory(b, c)
 
 
 class TestCoxLoss:
