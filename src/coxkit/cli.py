@@ -28,6 +28,7 @@ from coxkit.data import (
     StandardizationParams,
     append_treatment_feature,
     load_csv,
+    read_columns,
     split_indices,
     standardize_apply,
     standardize_fit,
@@ -198,17 +199,6 @@ def load_config(path, seed_override=None, out_dir_override=None) -> dict:
     return cfg
 
 
-def read_risks_csv(path) -> np.ndarray:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader, None)
-        if header is None or "true_risk" not in header:
-            raise UsageError(f"{path}: expected a 'true_risk' column")
-        col = header.index("true_risk")
-        values = [float(row[col]) for row in reader if row]
-    return np.asarray(values, dtype=float)
-
-
 def _load_source(ds_cfg: dict):
     """Dataset plus optional aligned ground-truth risks."""
     has_csv = ds_cfg.get("csv") is not None
@@ -230,7 +220,8 @@ def _load_source(ds_cfg: dict):
     )
     risks = None
     if ds_cfg.get("risks_csv") is not None:
-        risks = read_risks_csv(ds_cfg["risks_csv"])
+        table, _ = read_columns(ds_cfg["risks_csv"], [("true_risk", "value")])
+        risks = table[:, 0]
         if risks.shape[0] != ds.n:
             raise UsageError(
                 f"risks sidecar has {risks.shape[0]} rows, dataset has {ds.n}"
@@ -545,48 +536,15 @@ def cmd_recommend(args) -> int:
 # ---------------------------------------------------------------------- km
 
 
-def _read_km_columns(path, time_col, event_col, group_col):
-    times, events, groups = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: empty file, header row required")
-        header = [h.strip() for h in header]
-        for col in [time_col, event_col] + ([group_col] if group_col else []):
-            if col not in header:
-                raise SchemaError(f"{path}: missing required column {col!r}")
-        t_i, e_i = header.index(time_col), header.index(event_col)
-        g_i = header.index(group_col) if group_col else None
-        for row_num, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            try:
-                t = float(row[t_i])
-                e = float(row[e_i])
-            except ValueError:
-                raise CsvParseError(f"non-numeric time/event at row {row_num}") from None
-            if t <= 0:
-                raise CsvParseError(f"non-positive time {t} at row {row_num}")
-            if e not in (0.0, 1.0):
-                raise CsvParseError(f"event value {e} outside {{0,1}} at row {row_num}")
-            times.append(t)
-            events.append(int(e))
-            if g_i is not None:
-                groups.append(row[g_i].strip())
-    if not times:
-        raise CsvParseError(f"{path}: no data rows")
-    return np.asarray(times), np.asarray(events), groups
-
-
 def _safe_label(label: str) -> str:
     return "".join(c if c.isalnum() or c in "-_" else "_" for c in label)
 
 
 def cmd_km(args) -> int:
-    times, events, groups = _read_km_columns(
-        args.data, args.time_col, args.event_col, args.group_by
+    table, groups = read_columns(
+        args.data, [(args.time_col, "time"), (args.event_col, "event")], args.group_by
     )
+    times, events = table[:, 0], table[:, 1].astype(np.int64)
     effective = {
         "data": str(args.data),
         "group_by": args.group_by,

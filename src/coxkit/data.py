@@ -166,7 +166,42 @@ def sort_view(ds: SurvivalDataset) -> SortedSurvivalView:
     return SortedSurvivalView(perm, np.stack([starts, stops], axis=1))
 
 
-def _parse_cell(raw: str, column: str, row: int) -> float:
+# Characters numpy's C parser skips as blanks around a number although
+# float() rejects them (\x1c-\x1f), or drops from the end of a label (\x00).
+_C_PARSER_QUIRKS = "\x00\x1c\x1d\x1e\x1f"
+
+# Every value read must be finite. Column rule -> where a finite value,
+# scalar or array, breaks it, and the error then raised.
+_RULES = {
+    "value": (lambda v: False, ""),
+    "time": (lambda v: v <= 0, "non-positive time {value} in column {name!r} at row {row}"),
+    "event": (
+        lambda v: (v != 0) & (v != 1),
+        "event value {value} outside {{0,1}} in column {name!r} at row {row}",
+    ),
+    "treatment": (  # labels are stored as int64
+        lambda v: (v != np.trunc(v)) | (v < 0) | (v >= 2.0**63),
+        "treatment label {value} is not a non-negative integer at row {row}",
+    ),
+}
+
+
+def _read_header(path, required) -> tuple[list[str], list[str]]:
+    """The stripped header names and the lines below them, ``#`` lines dropped."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = [line for line in fh if not line.startswith("#")]
+    reader = csv.reader(lines)
+    try:
+        header = [name.strip() for name in next(reader)]
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file, header row required") from None
+    for name in required:
+        if name not in header:
+            raise SchemaError(f"{path}: missing required column {name!r}")
+    return header, lines[reader.line_num:]
+
+
+def _parse_cell(raw: str, column: str, rule: str, row: int) -> float:
     try:
         value = float(raw)
     except ValueError:
@@ -177,7 +212,81 @@ def _parse_cell(raw: str, column: str, row: int) -> float:
         raise CsvParseError(
             f"non-finite value {raw!r} in column {column!r} at row {row}"
         )
+    breaks, message = _RULES[rule]
+    if breaks(value):
+        raise CsvParseError(message.format(value=value, name=column, row=row))
     return value
+
+
+def _parse_rows(path, header, body, columns, whole_rows, label):
+    """`_parse_body` row by row through `csv` and `float`: the reference, and
+    the path that raises the first bad cell's error."""
+    used = [header.index(name) for name, _ in columns]
+    used += [] if label is None else [header.index(label)]
+    width = len(header) if whole_rows else 1 + max(used)
+    table, labels = [], []
+    for row_num, row in enumerate(csv.reader(body), start=1):
+        if not row:
+            continue
+        if len(row) != width if whole_rows else len(row) < width:
+            at_least = "" if whole_rows else "at least "
+            raise CsvParseError(
+                f"row {row_num}: expected {at_least}{width} cells, got {len(row)}"
+            )
+        table.append([
+            _parse_cell(row[i], name, rule, row_num)
+            for (name, rule), i in zip(columns, used)
+        ])
+        if label is not None:
+            labels.append(row[used[-1]].strip())
+    if not table:
+        raise CsvParseError(f"{path}: no data rows")
+    return np.array(table, dtype=float), None if label is None else labels
+
+
+def _parse_vectorised(header, body, columns, whole_rows, label):
+    """`_parse_rows`'s result by numpy's C parser; ValueError where the parser
+    or a check refuses the body."""
+    text = "".join(body)
+    if not text.strip("\r\n") or any(quirk in text for quirk in _C_PARSER_QUIRKS):
+        raise ValueError("no data rows, or a character float() reads differently")
+    index = [header.index(name) for name, _ in columns]
+    # quotechar splits cells as csv.reader does, so a quoted comma in a cell
+    # left unread cannot shift the columns that usecols picks
+    parse = dict(delimiter=",", comments=None, quotechar='"', ndmin=2)
+    table = np.loadtxt(body, float, usecols=None if whole_rows else index, **parse)
+    if whole_rows and table.shape[1] != len(header):
+        raise ValueError("rows do not match the header")
+    table = table[:, index] if whole_rows else table
+    if not np.isfinite(table).all() or any(
+        np.any(_RULES[rule][0](table[:, j])) for j, (_, rule) in enumerate(columns)
+    ):
+        raise ValueError("a value breaks its column's rule")
+    if label is None:
+        return table, None
+    labels = np.loadtxt(body, object, usecols=[header.index(label)], **parse)[:, 0]
+    return table, np.char.strip(labels.astype(str)).tolist()
+
+
+def _parse_body(path, header, body, columns, whole_rows, label=None):
+    try:
+        return _parse_vectorised(header, body, columns, whole_rows, label)
+    except ValueError:
+        return _parse_rows(path, header, body, columns, whole_rows, label)
+
+
+def read_columns(path, columns, label: str | None = None):
+    """Named columns of a headered CSV file; lines starting with ``#`` are ignored.
+
+    `columns` lists (name, rule) pairs, rules as in `_RULES`. Returns an n x
+    len(columns) float array in that order, and the stripped cells of the
+    `label` column (None without one). Rows may hold cells beyond the last
+    one read. Raises `SchemaError` for a missing column and `CsvParseError`,
+    citing the 1-based data row, for a malformed or rule-breaking cell.
+    """
+    names = [name for name, _ in columns] + ([] if label is None else [label])
+    header, body = _read_header(path, names)
+    return _parse_body(path, header, body, columns, False, label)
 
 
 def load_csv(
@@ -192,65 +301,26 @@ def load_csv(
     are treated as features, in header order. The treatment column is used
     when present and silently skipped when absent; pass ``treatment_col=None``
     to force a column literally named like it to be read as a feature.
-    Lines starting with ``#`` are ignored (provenance comments).
+    Lines starting with ``#`` are ignored (provenance comments). Each row must
+    have one cell per header name.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, header row required") from None
-        header = [name.strip() for name in header]
-        for required in (time_col, event_col):
-            if required not in header:
-                raise SchemaError(f"{path}: missing required column {required!r}")
-        has_treatment = treatment_col is not None and treatment_col in header
-        special = {time_col, event_col} | ({treatment_col} if has_treatment else set())
-        feature_names = [name for name in header if name not in special]
-        if not feature_names:
-            raise SchemaError(f"{path}: no feature columns beyond {sorted(special)}")
-        col_index = {name: header.index(name) for name in header}
-
-        rows_x, rows_t, rows_e, rows_tr = [], [], [], []
-        for row_num, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CsvParseError(
-                    f"row {row_num}: expected {len(header)} cells, got {len(row)}"
-                )
-            t = _parse_cell(row[col_index[time_col]], time_col, row_num)
-            if t <= 0:
-                raise CsvParseError(
-                    f"non-positive time {t} in column {time_col!r} at row {row_num}"
-                )
-            e = _parse_cell(row[col_index[event_col]], event_col, row_num)
-            if e not in (0.0, 1.0):
-                raise CsvParseError(
-                    f"event value {e} outside {{0,1}} in column "
-                    f"{event_col!r} at row {row_num}"
-                )
-            if has_treatment:
-                tr = _parse_cell(row[col_index[treatment_col]], treatment_col, row_num)
-                if tr != int(tr) or tr < 0:
-                    raise CsvParseError(
-                        f"treatment label {tr} is not a non-negative integer "
-                        f"at row {row_num}"
-                    )
-                rows_tr.append(int(tr))
-            rows_x.append(
-                [_parse_cell(row[col_index[name]], name, row_num) for name in feature_names]
-            )
-            rows_t.append(t)
-            rows_e.append(int(e))
-
-    if not rows_x:
-        raise CsvParseError(f"{path}: no data rows")
+    header, body = _read_header(path, (time_col, event_col))
+    has_treatment = treatment_col is not None and treatment_col in header
+    special = {time_col, event_col} | ({treatment_col} if has_treatment else set())
+    feature_names = [name for name in header if name not in special]
+    if not feature_names:
+        raise SchemaError(f"{path}: no feature columns beyond {sorted(special)}")
+    columns = [(time_col, "time"), (event_col, "event")]
+    if has_treatment:
+        columns.append((treatment_col, "treatment"))
+    first_feature = len(columns)
+    columns += [(name, "value") for name in feature_names]
+    table, _ = _parse_body(path, header, body, columns, whole_rows=True)
     return SurvivalDataset(
-        covariates=np.array(rows_x, dtype=float),
-        times=np.array(rows_t, dtype=float),
-        events=np.array(rows_e, dtype=np.int64),
-        treatments=np.array(rows_tr, dtype=np.int64) if rows_tr else None,
+        covariates=table[:, first_feature:].copy(),
+        times=table[:, 0].copy(),
+        events=table[:, 1],
+        treatments=table[:, 2] if has_treatment else None,
         feature_names=tuple(feature_names),
     )
 

@@ -168,10 +168,11 @@ def _run_forward(net, x, train, rng):
             mask = rng.random(h.shape) >= p
             h *= mask
             h *= 1.0 / (1.0 - p)
-        inputs.append(a)
-        pre_acts.append(z)
-        derivs.append(deriv)
-        masks.append(mask)
+        if train:
+            inputs.append(a)
+            pre_acts.append(z)
+            derivs.append(deriv)
+            masks.append(mask)
         a = h
     inputs.append(a)
     out = a @ net.weights[-1]

@@ -141,6 +141,26 @@ class TestTrainCommand:
         metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
         assert metrics["risk_mse"] is not None
 
+    @pytest.mark.parametrize(
+        "risks, message",
+        [
+            ("id,true_risk\n0,0.5\n1\n", "row 2: expected at least 2 cells, got 1"),
+            ("true_risk\n0.5\nabc\n", "non-numeric value 'abc' in column 'true_risk' at row 2"),
+            ("true_risk\nnan\n0.5\n", "non-finite value 'nan' in column 'true_risk' at row 1"),
+        ],
+    )
+    def test_malformed_risks_sidecar_exit_2(self, tmp_path, capsys, risks, message):
+        data = tmp_path / "d.csv"
+        write_csv(generate(SimulationSpec(n=40, d=3, risk_kind="linear", seed=5)).dataset, data)
+        sidecar = tmp_path / "risks.csv"
+        sidecar.write_text(risks, encoding="utf-8")
+        config = make_train_config(
+            tmp_path, dataset={"csv": str(data), "risks_csv": str(sidecar)}
+        )
+        assert run(["train", "--config", str(config)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "metrics.json").exists()
+
     def test_bad_config_json_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
@@ -277,6 +297,24 @@ class TestKmCommand:
         assert run(["km", "--data", str(data), "--out-dir", str(out)]) == 0
         assert (out / "km.csv").exists()
         assert json.loads((out / "km.json").read_text())["log_rank"] is None
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("1,2.0,1,0\n1,3.0\n", "row 2: expected at least 4 cells, got 2"),
+            ("1,2.0,1,0\n1,nan,1,1\n", "non-finite value 'nan' in column 'time' at row 2"),
+            ("1,inf,0,1\n", "non-finite value 'inf' in column 'time' at row 1"),
+        ],
+    )
+    def test_malformed_row_exit_2(self, tmp_path, capsys, rows, message):
+        data = tmp_path / "d.csv"
+        data.write_text("x0,time,event,treatment\n" + rows, encoding="utf-8")
+        out = tmp_path / "km"
+        code = run(["km", "--data", str(data), "--group-by", "treatment",
+                    "--out-dir", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "km.json").exists()
 
     def test_missing_file_exit_2(self, tmp_path):
         code = run(["km", "--data", str(tmp_path / "nope.csv"),

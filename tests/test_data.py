@@ -1,12 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coxkit import data
 from coxkit.data import (
     CsvParseError,
     SchemaError,
     SurvivalDataset,
     append_treatment_feature,
     load_csv,
+    read_columns,
     sort_view,
     split,
     split_indices,
@@ -69,9 +75,20 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match="row 1"):
             load_csv(path)
 
+    def test_every_row_too_long_rejected(self, tmp_path):
+        path = write(tmp_path, "x0,time,event\n1,2,1,5\n3,4,0,6\n")
+        with pytest.raises(CsvParseError, match="row 1: expected 3 cells, got 4"):
+            load_csv(path)
+
     def test_event_outside_01(self, tmp_path):
         path = write(tmp_path, "x0,time,event\n1,2,2\n")
         with pytest.raises(CsvParseError, match="row 1"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("label", ["1.5", "-1", "1e19"])
+    def test_treatment_not_a_label_rejected(self, tmp_path, label):
+        path = write(tmp_path, f"x0,time,event,treatment\n1,2,1,0\n1,2,1,{label}\n")
+        with pytest.raises(CsvParseError, match="treatment label .* at row 2"):
             load_csv(path)
 
     def test_comment_lines_skipped(self, tmp_path):
@@ -89,6 +106,23 @@ class TestLoadCsv:
             assert np.array_equal(back.times, ds.times)
             assert np.array_equal(back.events, ds.events)
 
+    def test_roundtrip_wide(self, tmp_path):
+        ds = random_dataset(np.random.default_rng(6), n=300, d=64)
+        ds = SurvivalDataset(
+            covariates=ds.covariates * 10.0 ** np.arange(-32, 32),
+            times=ds.times,
+            events=ds.events,
+            treatments=np.arange(ds.n) % 3,
+        )
+        path = tmp_path / "wide.csv"
+        write_csv(ds, path, comment="wide")
+        back = load_csv(path)
+        assert np.array_equal(back.covariates, ds.covariates)
+        assert np.array_equal(back.times, ds.times)
+        assert np.array_equal(back.events, ds.events)
+        assert np.array_equal(back.treatments, ds.treatments)
+        assert back.feature_names == ds.feature_names
+
     def test_roundtrip_with_treatments(self, tmp_path):
         ds = SurvivalDataset(
             covariates=[[0.1], [0.2]],
@@ -100,6 +134,118 @@ class TestLoadCsv:
         write_csv(ds, path, comment="hello")
         back = load_csv(path)
         assert np.array_equal(back.treatments, [1, 0])
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+# per column, cells that pass its checks
+_valid = {
+    "time": st.floats(min_value=1e-300, max_value=1e300).map(repr),
+    "event": st.sampled_from(["0", "1", " 1", "0.0", "1e0"]),
+    "treatment": st.sampled_from(["0", "1", "2", "1.0"]),
+    "group": st.sampled_from(
+        ["a", " a ", '"a"', ' "b" ', '"c,d"', '"e""f"', "", "b", "a\x00"]
+    ),
+    "note": st.sampled_from(["x", '"y,1.5"', '"z"']),
+}
+# cells float() reads and numpy's parser does not ("1_0", quoted), or the
+# other way round ("1\x1c"); non-finite and malformed cells; edge spellings
+_odd = st.sampled_from(
+    [" 1.5 ", "+.5", "1_0", '"1.5"', "nan", "inf", "-Infinity", "1e400", "",
+     " ", "abc", "0", "1", "2", "-1", "1.0", "1\x1c"]
+)
+_blank_or_comment = st.sampled_from(["\n", "\r\n", "# note\n"])
+
+# each reader, with the header its generated files get
+_READERS = {
+    "load_csv": (
+        ["x0", "time", "x1", "event", "treatment"],
+        lambda path: _dataset_fields(load_csv(path)),
+    ),
+    "km": (
+        ["group", "time", "event", "x0"],
+        lambda path: read_columns(path, [("time", "time"), ("event", "event")], "group"),
+    ),
+    "risks": (["note", "true_risk"], lambda path: read_columns(path, [("true_risk", "value")])),
+}
+
+
+def _dataset_fields(ds):
+    return ds.covariates, ds.times, ds.events, ds.treatments, ds.feature_names
+
+
+@st.composite
+def _csv_text(draw, header):
+    """A CSV file: mostly well-formed rows, with short and long rows, blank
+    and comment lines in the body, and sometimes no data rows at all."""
+    lines = [draw(st.sampled_from(["", "# provenance\n"]))]
+    lines.append(",".join(draw(st.sampled_from([n, f" {n} "])) for n in header) + "\n")
+    for _ in range(draw(st.integers(0, 5))):
+        cells = [
+            draw(_odd if draw(st.integers(0, 9)) == 0 else _valid.get(name, _finite))
+            for name in header
+        ]
+        shape = draw(st.sampled_from(["whole"] * 8 + ["short", "long"]))
+        if shape == "short":
+            cells = cells[: draw(st.integers(0, len(cells) - 1))]
+        elif shape == "long":
+            cells.append(draw(_finite))
+        lines.append(",".join(cells) + draw(st.sampled_from(["\n", "\r\n"])))
+        lines.extend(draw(st.lists(_blank_or_comment, max_size=1)))
+    return "".join(lines)
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _same(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (
+            isinstance(a, np.ndarray)
+            and isinstance(b, np.ndarray)
+            and a.dtype == b.dtype
+            and np.array_equal(a, b)
+        )
+    if isinstance(a, (tuple, list)):
+        return (
+            type(a) is type(b)
+            and len(a) == len(b)
+            and all(_same(x, y) for x, y in zip(a, b))
+        )
+    return a == b
+
+
+class TestReaderMatchesRowLoop:
+    """The public readers equal the row loop alone (`_parse_rows`, the
+    reference parse) on generated files: same arrays, or the same error."""
+
+    @pytest.mark.parametrize("reader", sorted(_READERS))
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_same_result(self, tmp_path_factory, reader, draw):
+        header, read = _READERS[reader]
+        path = tmp_path_factory.getbasetemp() / f"differential_{reader}.csv"
+        path.write_bytes(draw.draw(_csv_text(header)).encode("utf-8"))
+        got = _outcome(read, path)
+        with mock.patch.object(data, "_parse_vectorised", side_effect=ValueError):
+            want = _outcome(read, path)
+        assert _same(got, want), (got, want)
+
+    @pytest.mark.parametrize("quirk", ["\x1c", "\x1f"])
+    def test_separator_around_number_rejected(self, tmp_path, quirk):
+        # numpy's parser skips \x1c-\x1f around a number as blanks; float() does not
+        path = write(tmp_path, f"x0,time,event\n1{quirk},2,1\n")
+        with pytest.raises(CsvParseError, match="non-numeric value .* at row 1"):
+            load_csv(path)
+
+    def test_label_keeps_trailing_nul(self, tmp_path):
+        # numpy's string arrays drop trailing NULs
+        path = write(tmp_path, "g,time,event\na\x00,2,1\n")
+        _, labels = read_columns(path, [("time", "time"), ("event", "event")], "g")
+        assert labels == ["a\x00"]
 
 
 class TestDatasetValidation:

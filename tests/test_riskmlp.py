@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -139,6 +140,23 @@ class TestForward:
         net = init_network(NetworkConfig(), d=2, seed=0)
         with pytest.raises(ValueError, match="mode"):
             forward(net, np.zeros((1, 2)), mode="test")
+
+    def test_infer_keeps_no_cache(self):
+        # An n x 45 layer array is 6.9 MiB here. Caching every layer's input
+        # and pre-activation made a 2-layer pass peak at five of them (34.3
+        # MiB) and a 3-layer one at seven; without the cache a pass holds
+        # one layer's working set, four arrays, at any depth.
+        n, width = 20000, 45
+        x = np.random.default_rng(9).normal(size=(n, 11))
+        cfg = NetworkConfig(hidden_layers=3, nodes_per_layer=width)
+        net = init_network(cfg, d=11, seed=9)
+        tracemalloc.start()
+        try:
+            forward(net, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * n * width * 8
 
 
 # zeros of both signs, the smallest subnormal, a subnormal near the normal
