@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import hashlib
 import json
 import sys
@@ -32,6 +31,7 @@ from coxkit.data import (
     split_indices,
     standardize_apply,
     standardize_fit,
+    write_columns,
     write_csv,
 )
 from coxkit.plots import render_km_svg
@@ -56,6 +56,16 @@ def write_json(path, payload) -> None:
     Path(path).write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
+
+
+def write_svg(path, svg: str, provenance: dict) -> None:
+    """Write an SVG document under an XML comment holding the provenance JSON.
+
+    A comment may not contain "--", so it is written "-\\u002d", which
+    decodes to the same JSON.
+    """
+    comment = canonical_json(provenance).replace("--", "-\\u002d")
+    Path(path).write_text(f"<!-- {comment} -->\n" + svg, encoding="utf-8")
 
 
 def _provenance(command: str, effective_config: dict, seeds: dict) -> dict:
@@ -108,12 +118,12 @@ def cmd_simulate(args) -> int:
     prov = _provenance("simulate", spec_dict, {"simulation": spec.seed})
 
     write_csv(sim.dataset, out_dir / "dataset.csv", comment=canonical_json(prov))
-    with open(out_dir / "true_risks.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {canonical_json(prov)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["true_risk"])
-        for value in sim.true_risks:
-            writer.writerow([repr(float(value))])
+    write_columns(
+        out_dir / "true_risks.csv",
+        ["true_risk"],
+        [sim.true_risks],
+        comment=canonical_json(prov),
+    )
     write_json(
         out_dir / "provenance.json",
         {
@@ -313,18 +323,18 @@ def cmd_train(args) -> int:
     write_json(out_dir / "model.json", model_payload)
 
     if history is not None:
-        with open(out_dir / "history.csv", "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"# {canonical_json(prov)}\n")
-            writer = csv.writer(fh)
-            columns = ["epoch", "learning_rate", "train_loss"]
-            if history.val_cindex is not None:
-                columns.append("val_cindex")
-            writer.writerow(columns)
-            for epoch, loss in enumerate(history.train_loss):
-                row = [epoch, repr(history.learning_rates[epoch]), repr(loss)]
-                if history.val_cindex is not None:
-                    row.append(repr(history.val_cindex[epoch]))
-                writer.writerow(row)
+        header = ["epoch", "learning_rate", "train_loss"]
+        columns = [
+            np.arange(len(history.train_loss)),
+            history.learning_rates,
+            history.train_loss,
+        ]
+        if history.val_cindex is not None:
+            header.append("val_cindex")
+            columns.append(history.val_cindex)
+        write_columns(
+            out_dir / "history.csv", header, columns, comment=canonical_json(prov)
+        )
 
     evaluation = cfg["evaluation"]
     c_index = metrics.concordance_index(test_ds.times, test_ds.events, test_risks)
@@ -521,9 +531,7 @@ def cmd_recommend(args) -> int:
             title="Survival by recommendation concordance",
             p_value=report.log_rank_result.p_value,
         )
-        (out_dir / "recommendation.svg").write_text(
-            f"<!-- {canonical_json(prov)} -->\n" + svg, encoding="utf-8"
-        )
+        write_svg(out_dir / "recommendation.svg", svg, prov)
     medians = body["median_survival"]
     print(
         f"recommend: median survival {medians['recommendation']} (Rec) vs "
@@ -589,9 +597,7 @@ def cmd_km(args) -> int:
     )
     if not args.no_svg:
         svg = render_km_svg(curves, title="Kaplan-Meier survival", p_value=p_value)
-        (out_dir / "km.svg").write_text(
-            f"<!-- {canonical_json(prov)} -->\n" + svg, encoding="utf-8"
-        )
+        write_svg(out_dir / "km.svg", svg, prov)
     print(f"km: wrote {len(curves)} curve(s) to {out_dir}")
     return 0
 

@@ -337,21 +337,46 @@ def write_csv(
 
     Floats are written with `repr`, which is lossless for float64.
     """
+    header = list(ds.feature_names) + [time_col, event_col]
+    columns = list(ds.covariates.T) + [ds.times, ds.events]
+    if ds.treatments is not None:
+        header.append(treatment_col)
+        columns.append(ds.treatments)
+    write_columns(path, header, columns, comment)
+
+
+# Rows formatted per write: bounds the Python strings alive at once.
+_WRITE_BLOCK_ROWS = 2048
+
+
+def write_columns(path, header, columns, comment: str | None = None) -> None:
+    """Write equal-length columns under a header row: the mirror of `read_columns`.
+
+    An optional ``# comment`` line comes first; the header goes through
+    `csv.writer`, and body rows end in its ``\\r\\n`` terminator. Integer and
+    boolean columns are written with `str` of their int64 value, every other
+    column with `repr` of its float64 value, which is lossless.
+    """
+    cells = []
+    for column in columns:
+        column = np.asarray(column)
+        if column.dtype.kind in "biu":
+            cells.append((column.astype(np.int64, copy=False), str))
+        else:
+            cells.append((np.asarray(column, dtype=float), repr))
+    n_rows = cells[0][0].size if cells else 0
+    if any(column.shape != (n_rows,) for column, _ in cells):
+        raise ValueError("columns must be 1-d and of equal length")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        header = list(ds.feature_names) + [time_col, event_col]
-        if ds.treatments is not None:
-            header.append(treatment_col)
-        writer.writerow(header)
-        for i in range(ds.n):
-            row = [repr(float(v)) for v in ds.covariates[i]]
-            row.append(repr(float(ds.times[i])))
-            row.append(str(int(ds.events[i])))
-            if ds.treatments is not None:
-                row.append(str(int(ds.treatments[i])))
-            writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        for start in range(0, n_rows, _WRITE_BLOCK_ROWS):
+            block = [
+                map(fmt, column[start : start + _WRITE_BLOCK_ROWS].tolist())
+                for column, fmt in cells
+            ]
+            fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
 
 
 def split_indices(

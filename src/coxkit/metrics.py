@@ -7,11 +7,12 @@ All functions are pure and operate on plain arrays.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats as sps
+
+from coxkit.data import write_columns
 
 
 @dataclass(frozen=True)
@@ -277,19 +278,16 @@ def risk_mse(predicted_risks, true_risks) -> float:
 
 def write_km_csv(curve: KaplanMeierCurve, path, comment: str | None = None) -> None:
     """Write a curve as CSV columns time, survival, ci_lower, ci_upper, at_risk, deaths."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["time", "survival", "ci_lower", "ci_upper", "at_risk", "deaths"])
-        for i in range(curve.event_times.size):
-            writer.writerow(
-                [
-                    repr(float(curve.event_times[i])),
-                    repr(float(curve.survival[i])),
-                    repr(float(curve.ci_lower[i])),
-                    repr(float(curve.ci_upper[i])),
-                    int(curve.at_risk[i]),
-                    int(curve.deaths[i]),
-                ]
-            )
+    write_columns(
+        path,
+        ["time", "survival", "ci_lower", "ci_upper", "at_risk", "deaths"],
+        [
+            curve.event_times,
+            curve.survival,
+            curve.ci_lower,
+            curve.ci_upper,
+            curve.at_risk,
+            curve.deaths,
+        ],
+        comment,
+    )

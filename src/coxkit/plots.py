@@ -12,30 +12,94 @@ from coxkit.metrics import KaplanMeierCurve
 
 WIDTH, HEIGHT = 720, 480
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 70, 24, 44, 56
+PLOT_W = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+
+# `_fmt_all` formats coordinates up to the canvas size, in hundredths of a
+# pixel, from their rounded integer.
+_HUNDREDTHS_MAX = 100 * max(WIDTH, HEIGHT)
+# Points formatted at a time by `_path`: bounds the strings alive at once.
+_PATH_BLOCK_POINTS = 8192
+
+
+def _escape(text: str) -> str:
+    """`text` as XML character data (`xml.sax.saxutils.escape`, without
+    importing its ~2 MB of modules)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(value: float) -> str:
     return f"{value:.2f}".rstrip("0").rstrip(".")
 
 
+def _fmt_all(values) -> np.ndarray:
+    """`_fmt` of every element of `values`, as an object array of strings.
+
+    `f"{v:.2f}"` prints v rounded to the nearest k / 100. For 0 < v within
+    the canvas, 100 * v is off by at most ~1e-11, so where it lies at least
+    1e-6 from a half-integer its `np.rint` is that k, and the string is
+    joined from the strings of k // 100 and k % 100, each formatted once per
+    call. Exact ties such as 0.125, values that print as -0, zero, NaN,
+    infinities and values beyond the canvas go through `_fmt`.
+    """
+    values = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = 100.0 * values
+        k = np.rint(scaled)
+        exact = (
+            (values > 0.0)
+            & (k <= _HUNDREDTHS_MAX)
+            & (np.abs(scaled - k) <= 0.5 - 1e-6)
+        )
+    units, cents = np.divmod(k[exact].astype(np.int64), 100)
+    unit_strings = [str(u) for u in range(units.max(initial=0) + 1)]
+    cent_strings = [f".{c:02d}".rstrip("0").rstrip(".") for c in range(100)]
+    out = np.empty(values.shape, dtype=object)
+    out[exact] = (
+        np.array(unit_strings, dtype=object)[units]
+        + np.array(cent_strings, dtype=object)[cents]
+    )
+    out[~exact] = [_fmt(v) for v in values[~exact].tolist()]
+    return out
+
+
+def _px(x, x_max: float):
+    return MARGIN_LEFT + PLOT_W * (x / x_max)
+
+
+def _py(y):
+    return MARGIN_TOP + PLOT_H * (1.0 - y)
+
+
 def _step_points(times, values, x_max: float):
-    """Post-step polyline starting at (0, 1)."""
-    xs, ys = [0.0], [1.0]
-    prev = 1.0
-    for t, v in zip(times, values):
-        xs.extend([float(t), float(t)])
-        ys.extend([prev, float(v)])
-        prev = float(v)
-    xs.append(x_max)
-    ys.append(prev)
+    """Post-step polyline starting at (0, 1), as x and y arrays."""
+    xs = np.concatenate(([0.0], np.repeat(np.asarray(times, float), 2), [x_max]))
+    ys = np.repeat(np.concatenate(([1.0], np.asarray(values, float))), 2)
     return xs, ys
 
 
 def _band_points(curve: KaplanMeierCurve, x_max: float):
     ux, uy = _step_points(curve.event_times, curve.ci_upper, x_max)
     lx, ly = _step_points(curve.event_times, curve.ci_lower, x_max)
-    return ux + lx[::-1], uy + ly[::-1]
+    return np.concatenate((ux, lx[::-1])), np.concatenate((uy, ly[::-1]))
+
+
+def _path(xs, ys, x_max: float, close: bool = False) -> str:
+    """SVG path data of the polyline through the data points (xs, ys)."""
+    xs = _px(np.asarray(xs, dtype=float), x_max)
+    ys = _py(np.asarray(ys, dtype=float))
+    pieces = []
+    for start in range(0, xs.size, _PATH_BLOCK_POINTS):
+        block = slice(start, start + _PATH_BLOCK_POINTS)
+        parts = np.empty((xs[block].size, 4), dtype=object)
+        parts[:, 0] = " L"
+        parts[:, 1] = _fmt_all(xs[block])
+        parts[:, 2] = ","
+        parts[:, 3] = _fmt_all(ys[block])
+        pieces.append("".join(parts.ravel().tolist()))
+    pieces[0] = "M" + pieces[0][2:]
+    return "".join(pieces) + (" Z" if close else "")
 
 
 def render_km_svg(
@@ -51,38 +115,26 @@ def render_km_svg(
         [float(c.event_times[-1]) if c.event_times.size else 1.0 for _, c in curves]
     )
     x_max *= 1.02
-    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
-
-    def px(x):
-        return MARGIN_LEFT + plot_w * (x / x_max)
-
-    def py(y):
-        return MARGIN_TOP + plot_h * (1.0 - y)
-
-    def path(xs, ys, close=False):
-        parts = [f"{'M' if i == 0 else 'L'}{_fmt(px(x))},{_fmt(py(y))}" for i, (x, y) in enumerate(zip(xs, ys))]
-        return " ".join(parts) + (" Z" if close else "")
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
+        f'font-family="sans-serif" font-size="16">{_escape(title)}</text>',
     ]
 
     # axes
     out.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{py(0)}" x2="{px(x_max)}" y2="{py(0)}" '
+        f'<line x1="{MARGIN_LEFT}" y1="{_py(0)}" x2="{_px(x_max, x_max)}" y2="{_py(0)}" '
         'stroke="black" stroke-width="1"/>'
     )
     out.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{py(0)}" x2="{MARGIN_LEFT}" y2="{py(1)}" '
+        f'<line x1="{MARGIN_LEFT}" y1="{_py(0)}" x2="{MARGIN_LEFT}" y2="{_py(1)}" '
         'stroke="black" stroke-width="1"/>'
     )
     for frac in np.linspace(0.0, 1.0, 6):
-        y = py(frac)
+        y = _py(frac)
         out.append(
             f'<line x1="{MARGIN_LEFT - 4}" y1="{_fmt(y)}" x2="{MARGIN_LEFT}" '
             f'y2="{_fmt(y)}" stroke="black" stroke-width="1"/>'
@@ -92,22 +144,23 @@ def render_km_svg(
             f'font-family="sans-serif" font-size="11">{frac:.1f}</text>'
         )
         x_tick = frac * x_max
+        tick = _fmt(_px(x_tick, x_max))
         out.append(
-            f'<line x1="{_fmt(px(x_tick))}" y1="{py(0)}" x2="{_fmt(px(x_tick))}" '
-            f'y2="{py(0) + 4}" stroke="black" stroke-width="1"/>'
+            f'<line x1="{tick}" y1="{_py(0)}" x2="{tick}" '
+            f'y2="{_py(0) + 4}" stroke="black" stroke-width="1"/>'
         )
         out.append(
-            f'<text x="{_fmt(px(x_tick))}" y="{py(0) + 18}" text-anchor="middle" '
+            f'<text x="{tick}" y="{_py(0) + 18}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{x_tick:.3g}</text>'
         )
     out.append(
-        f'<text x="{MARGIN_LEFT + plot_w // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
+        f'<text x="{MARGIN_LEFT + PLOT_W // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
         'font-family="sans-serif" font-size="13">time</text>'
     )
     out.append(
-        f'<text x="16" y="{MARGIN_TOP + plot_h // 2}" text-anchor="middle" '
+        f'<text x="16" y="{MARGIN_TOP + PLOT_H // 2}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 16 {MARGIN_TOP + plot_h // 2})">survival probability</text>'
+        f'transform="rotate(-90 16 {MARGIN_TOP + PLOT_H // 2})">survival probability</text>'
     )
 
     for idx, (label, curve) in enumerate(curves):
@@ -115,12 +168,12 @@ def render_km_svg(
         if show_bands and curve.event_times.size:
             bx, by = _band_points(curve, x_max)
             out.append(
-                f'<path d="{path(bx, by, close=True)}" fill="{color}" '
+                f'<path d="{_path(bx, by, x_max, close=True)}" fill="{color}" '
                 'fill-opacity="0.15" stroke="none"/>'
             )
         xs, ys = _step_points(curve.event_times, curve.survival, x_max)
         out.append(
-            f'<path d="{path(xs, ys)}" fill="none" stroke="{color}" stroke-width="2"/>'
+            f'<path d="{_path(xs, ys, x_max)}" fill="none" stroke="{color}" stroke-width="2"/>'
         )
         ly = MARGIN_TOP + 14 + 18 * idx
         lx = WIDTH - MARGIN_RIGHT - 170
@@ -130,7 +183,7 @@ def render_km_svg(
         )
         out.append(
             f'<text x="{lx + 30}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>'
+            f'font-size="12">{_escape(label)}</text>'
         )
 
     if p_value is not None:

@@ -179,8 +179,8 @@ def report_to_dict(report: RecommendationReport) -> dict:
             "statistic": report.log_rank_result.statistic,
             "p_value": report.log_rank_result.p_value,
         },
-        "recommended": [int(g) for g in report.recommended],
+        "recommended": report.recommended.tolist(),
         "rec_values": None
         if report.rec_values is None
-        else [float(v) for v in report.rec_values],
+        else report.rec_values.tolist(),
     }

@@ -1,7 +1,17 @@
+import os
 import sys
 from pathlib import Path
 
+from hypothesis import settings
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+# GitHub Actions sets CI: examples then derive from each test's source, not a
+# random seed, and a failure prints the blob that replays it. `CI=1 pytest`
+# reruns the same examples locally.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 ACCEPTANCE_LINES: list[str] = []
 

@@ -6,9 +6,12 @@ closed forms) so they stay independent of the library code they check.
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
 from coxkit.data import SurvivalDataset
+from coxkit.plots import _fmt, _px, _py
 from coxkit.riskmlp import SELU_ALPHA, SELU_LAMBDA
 
 
@@ -215,3 +218,105 @@ def numeric_gradient(fn, x0: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         xm[k] -= eps
         grad[k] = (fn(xp) - fn(xm)) / (2.0 * eps)
     return grad
+
+
+def reference_step_points(times, values, x_max):
+    """Post-step polyline starting at (0, 1), one point at a time.
+
+    The oracle for `coxkit.plots._step_points`, which builds the same
+    points as arrays.
+    """
+    xs, ys = [0.0], [1.0]
+    prev = 1.0
+    for t, v in zip(times, values):
+        xs.extend([float(t), float(t)])
+        ys.extend([prev, float(v)])
+        prev = float(v)
+    xs.append(x_max)
+    ys.append(prev)
+    return xs, ys
+
+
+def reference_band_points(curve, x_max):
+    """Confidence-band polygon: the upper steps, then the lower ones reversed."""
+    ux, uy = reference_step_points(curve.event_times, curve.ci_upper, x_max)
+    lx, ly = reference_step_points(curve.event_times, curve.ci_lower, x_max)
+    return ux + lx[::-1], uy + ly[::-1]
+
+
+def reference_path(xs, ys, x_max, close=False):
+    """SVG path data with every coordinate mapped and formatted on its own.
+
+    The oracle for `coxkit.plots._path`, which maps and formats whole arrays.
+    """
+    parts = [
+        f"{'M' if i == 0 else 'L'}{_fmt(_px(x, x_max))},{_fmt(_py(y))}"
+        for i, (x, y) in enumerate(zip(xs, ys))
+    ]
+    return " ".join(parts) + (" Z" if close else "")
+
+
+def _write_rows(path, header, rows, comment):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+
+
+def reference_write_csv(ds, path, comment=None):
+    """A dataset CSV written row by row through `csv.writer`.
+
+    The oracle for `coxkit.data.write_csv`, with its default column names.
+    """
+    header = list(ds.feature_names) + ["time", "event"]
+    if ds.treatments is not None:
+        header.append("treatment")
+    rows = []
+    for i in range(ds.n):
+        row = [repr(float(v)) for v in ds.covariates[i]]
+        row.append(repr(float(ds.times[i])))
+        row.append(str(int(ds.events[i])))
+        if ds.treatments is not None:
+            row.append(str(int(ds.treatments[i])))
+        rows.append(row)
+    _write_rows(path, header, rows, comment)
+
+
+def reference_write_km_csv(curve, path, comment=None):
+    """The oracle for `coxkit.metrics.write_km_csv`, row by row."""
+    rows = [
+        [
+            repr(float(curve.event_times[i])),
+            repr(float(curve.survival[i])),
+            repr(float(curve.ci_lower[i])),
+            repr(float(curve.ci_upper[i])),
+            int(curve.at_risk[i]),
+            int(curve.deaths[i]),
+        ]
+        for i in range(curve.event_times.size)
+    ]
+    header = ["time", "survival", "ci_lower", "ci_upper", "at_risk", "deaths"]
+    _write_rows(path, header, rows, comment)
+
+
+def reference_write_true_risks(true_risks, path, comment):
+    """The oracle for the `true_risks.csv` that `coxkit simulate` writes."""
+    rows = [[repr(float(value))] for value in true_risks]
+    _write_rows(path, ["true_risk"], rows, comment)
+
+
+def reference_write_history(history, path, comment):
+    """The oracle for the `history.csv` that `coxkit train` writes."""
+    header = ["epoch", "learning_rate", "train_loss"]
+    if history.val_cindex is not None:
+        header.append("val_cindex")
+    rows = []
+    for epoch, loss in enumerate(history.train_loss):
+        row = [epoch, repr(history.learning_rates[epoch]), repr(loss)]
+        if history.val_cindex is not None:
+            row.append(repr(history.val_cindex[epoch]))
+        rows.append(row)
+    _write_rows(path, header, rows, comment)

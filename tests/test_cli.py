@@ -1,12 +1,20 @@
+import dataclasses
 import json
+import xml.etree.ElementTree as ET
 
 import pytest
 
-from coxkit.cli import main
+from coxkit import optim
+from coxkit.cli import canonical_json, main, write_svg
 from coxkit.data import load_csv, write_csv
 from coxkit.metrics import kaplan_meier
 from coxkit.plots import render_km_svg
 from coxkit.simulate import SimulationSpec, generate
+from helpers import (
+    reference_write_csv,
+    reference_write_history,
+    reference_write_true_risks,
+)
 
 
 def run(argv):
@@ -74,6 +82,19 @@ class TestSimulateCommand:
         for name in ("dataset.csv", "true_risks.csv", "provenance.json"):
             assert read_bytes(out1 / name) == read_bytes(out2 / name)
 
+    @pytest.mark.parametrize("extra", [[], ["--with-treatment"]])
+    def test_csvs_match_row_writer(self, tmp_path, extra):
+        out = tmp_path / "sim"
+        assert run(["simulate", "--risk", "gaussian", "--lambda-max", "10",
+                    "--n", "5000", "--seed", "3", "--out-dir", str(out)] + extra) == 0
+        written = json.loads((out / "provenance.json").read_text())
+        comment = canonical_json(written["provenance"])
+        sim = generate(SimulationSpec(**written["spec"]))
+        reference_write_csv(sim.dataset, tmp_path / "dataset.csv", comment)
+        reference_write_true_risks(sim.true_risks, tmp_path / "true_risks.csv", comment)
+        for name in ("dataset.csv", "true_risks.csv"):
+            assert read_bytes(out / name) == read_bytes(tmp_path / name)
+
     def test_treatment_column_written(self, tmp_path):
         out = tmp_path / "t"
         run(["simulate", "--risk", "gaussian", "--lambda-max", "10", "--n", "80",
@@ -97,6 +118,32 @@ class TestTrainCommand:
         history = (out / "history.csv").read_text().splitlines()
         assert history[1] == "epoch,learning_rate,train_loss,val_cindex"
         assert len(history) == 2 + 30
+
+    @pytest.mark.parametrize("with_val_cindex", [True, False])
+    def test_history_matches_row_writer(self, tmp_path, monkeypatch, with_val_cindex):
+        # the CLI always validates; dropping val_cindex from the history it
+        # gets covers the writer's three-column layout too
+        histories = []
+        train = optim.train
+
+        def spy(*args, **kwargs):
+            net, history = train(*args, **kwargs)
+            if not with_val_cindex:
+                history = dataclasses.replace(history, val_cindex=None)
+            histories.append(history)
+            return net, history
+
+        monkeypatch.setattr(optim, "train", spy)
+        config = make_train_config(tmp_path)
+        assert run(["train", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        provenance = json.loads((out / "model.json").read_text())["provenance"]
+        reference_write_history(
+            histories[0], tmp_path / "history.csv", canonical_json(provenance)
+        )
+        assert read_bytes(out / "history.csv") == read_bytes(tmp_path / "history.csv")
+        header = (out / "history.csv").read_text().splitlines()[1]
+        assert header.endswith(",val_cindex") == with_val_cindex
 
     def test_linear_model(self, tmp_path):
         config = make_train_config(tmp_path, model="linear_cph")
@@ -316,6 +363,32 @@ class TestKmCommand:
         assert message in capsys.readouterr().err
         assert not (out / "km.json").exists()
 
+    @pytest.mark.parametrize("labels", [("a&b", "c"), ("<x>", "y\"z")])
+    def test_svg_parses_with_markup_in_labels(self, tmp_path, labels):
+        data = tmp_path / "in--put.csv"
+        rows = [f"{1 + i % 7}.5,{i % 2},{labels[i % 2]}" for i in range(40)]
+        data.write_text("time,event,grp\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "km"
+        assert run(["km", "--data", str(data), "--group-by", "grp",
+                    "--out-dir", str(out)]) == 0
+        text = (out / "km.svg").read_text(encoding="utf-8")
+        root = ET.fromstring(text)
+        assert {t.text for t in root.iter("{http://www.w3.org/2000/svg}text")} >= set(labels)
+        first = text.splitlines()[0]
+        assert first.startswith("<!-- ") and first.endswith(" -->")
+        provenance = json.loads((out / "km.json").read_text())["provenance"]
+        assert json.loads(first[len("<!-- "):-len(" -->")]) == provenance
+
+    @pytest.mark.parametrize("value", ["in--put", "a---b", "----", "x-", "\\--"])
+    def test_svg_comment_holds_any_provenance(self, tmp_path, value):
+        provenance = {"data": value, "seeds": {"-": 1}}
+        write_svg(tmp_path / "p.svg", "<svg/>\n", provenance)
+        text = (tmp_path / "p.svg").read_text(encoding="utf-8")
+        ET.fromstring(text)
+        first = text.splitlines()[0]
+        assert "--" not in first[len("<!--"):-len("-->")]
+        assert json.loads(first[len("<!-- "):-len(" -->")]) == provenance
+
     def test_missing_file_exit_2(self, tmp_path):
         code = run(["km", "--data", str(tmp_path / "nope.csv"),
                     "--out-dir", str(tmp_path)])
@@ -330,6 +403,12 @@ class TestSvgRendering:
         assert a == b
         assert a.startswith("<svg") and a.rstrip().endswith("</svg>")
         assert "log-rank p = 0.03" in a
+
+    def test_title_and_labels_escaped(self):
+        km = kaplan_meier([1, 2, 3, 4], [1, 0, 1, 1])
+        svg = render_km_svg([("a<b & c>d", km)], title="S(t) < 1 & more")
+        texts = [t.text for t in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+        assert "S(t) < 1 & more" in texts and "a<b & c>d" in texts
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,9 +19,10 @@ from coxkit.data import (
     split_indices,
     standardize_apply,
     standardize_fit,
+    write_columns,
     write_csv,
 )
-from helpers import random_dataset
+from helpers import random_dataset, reference_write_csv
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -134,6 +136,61 @@ class TestLoadCsv:
         write_csv(ds, path, comment="hello")
         back = load_csv(path)
         assert np.array_equal(back.treatments, [1, 0])
+
+
+def _extreme_dataset(n, d, with_treatments, seed=8):
+    """Covariates and times holding -0.0, subnormal, huge and ordinary values."""
+    rng = np.random.default_rng(seed)
+    covariates = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-30, 30, size=(n, d))
+    covariates.flat[: 3 * min(n, 4)] = [-0.0, 1e-320, 1e300] * min(n, 4)
+    times = rng.uniform(0.1, 10.0, size=n)
+    times[: min(n, 3)] = [1e-320, 1e300, 0.1][: min(n, 3)]
+    events = rng.integers(0, 2, size=n)
+    treatments = rng.integers(0, 3, size=n) if with_treatments else None
+    return SurvivalDataset(covariates, times, events, treatments)
+
+
+class TestWriteCsvMatchesRowWriter:
+    @pytest.mark.parametrize("with_treatments", [False, True])
+    @pytest.mark.parametrize("comment", [None, '{"seed":1}'])
+    @pytest.mark.parametrize("n, d", [(1, 1), (9000, 1), (300, 64)])
+    def test_same_bytes(self, tmp_path, with_treatments, comment, n, d):
+        ds = _extreme_dataset(n, d, with_treatments)
+        write_csv(ds, tmp_path / "new.csv", comment=comment)
+        reference_write_csv(ds, tmp_path / "old.csv", comment=comment)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_quoted_header(self, tmp_path):
+        ds = SurvivalDataset([[1.5], [-0.0]], [1.0, 2.0], [1, 0],
+                             feature_names=('a,"b"',))
+        write_csv(ds, tmp_path / "new.csv")
+        reference_write_csv(ds, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert load_csv(tmp_path / "new.csv").feature_names == ('a,"b"',)
+
+    def test_memory_stays_below_file_size(self, tmp_path):
+        # 1e5 rows x 13 columns: the writer's strings live one block at a time
+        ds = _extreme_dataset(100_000, 10, with_treatments=True)
+        path = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            write_csv(ds, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 20e6
+        assert peak < size / 4, f"peak {peak / 1e6:.1f} MB for a {size / 1e6:.1f} MB file"
+
+    def test_write_columns_rejects_ragged(self, tmp_path):
+        with pytest.raises(ValueError, match="equal length"):
+            write_columns(tmp_path / "x.csv", ["a", "b"], [[1.0, 2.0], [1.0]])
+        with pytest.raises(ValueError, match="1-d"):
+            write_columns(tmp_path / "x.csv", ["a"], [np.zeros((2, 2))])
+
+    def test_write_columns_header_only(self, tmp_path):
+        write_columns(tmp_path / "x.csv", ["a", "b"], [[], []], comment="c")
+        assert (tmp_path / "x.csv").read_bytes() == b"# c\na,b\r\n"
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)

@@ -14,7 +14,7 @@ from coxkit.metrics import (
     write_km_csv,
 )
 from coxkit.simulate import SimulationSpec, generate
-from helpers import brute_force_cindex, pair_scan_cindex
+from helpers import brute_force_cindex, pair_scan_cindex, reference_write_km_csv
 
 
 class TestConcordance:
@@ -242,6 +242,22 @@ class TestKaplanMeier:
         assert lines[0] == "# prov"
         assert lines[1] == "time,survival,ci_lower,ci_upper,at_risk,deaths"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize(
+        "times, events",
+        [
+            ([1, 2, 3], [1, 0, 1]),
+            ([1.0, 2.0, 5.0], [0, 0, 0]),  # all censored: no rows
+            ([1.0, 2.0, 3.0], [1, 1, 1]),  # survival reaches 0
+            (np.arange(9000) % 6000 + 0.5, np.arange(9000) % 5 != 0),  # ties, several blocks
+        ],
+    )
+    @pytest.mark.parametrize("comment", [None, "prov"])
+    def test_csv_export_matches_row_writer(self, tmp_path, times, events, comment):
+        km = kaplan_meier(times, np.asarray(events, dtype=int))
+        write_km_csv(km, tmp_path / "new.csv", comment=comment)
+        reference_write_km_csv(km, tmp_path / "old.csv", comment=comment)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestMedianSurvival:
