@@ -77,6 +77,14 @@ def _provenance(command: str, effective_config: dict, seeds: dict) -> dict:
     }
 
 
+def _build(cls, cfg, what: str):
+    """`cls(**cfg)`, with a bad key or value reported as a usage error."""
+    try:
+        return cls(**cfg)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad {what}: {exc}") from None
+
+
 def _merge(defaults: dict, override: dict, path: str = "") -> dict:
     out = dict(defaults)
     for key, value in override.items():
@@ -144,44 +152,26 @@ def cmd_simulate(args) -> int:
 # ------------------------------------------------------------------- train
 
 
-DATASET_DEFAULTS = {
-    "csv": None,
-    "time_col": "time",
-    "event_col": "event",
-    "treatment_col": "treatment",
-    "risks_csv": None,
-    "simulate": None,
-}
-
 TRAIN_DEFAULTS = {
     "schema_version": SCHEMA_VERSION,
-    "dataset": DATASET_DEFAULTS,
+    "dataset": {
+        "csv": None,
+        "time_col": "time",
+        "event_col": "event",
+        "treatment_col": "treatment",
+        "risks_csv": None,
+        "simulate": None,
+    },
     "split": {"fractions": [2 / 3, 1 / 6, 1 / 6], "seed": 0},
     "standardize": True,
     "model": "deep_cox",
-    "network": {
-        "hidden_layers": 1,
-        "nodes_per_layer": 8,
-        "activation": "selu",
-        "dropout_rate": 0.0,
-        "l2_coefficient": 0.0,
-    },
-    "optimizer": {
-        "kind": "adam",
-        "learning_rate": 0.01,
-        "lr_decay_rate": 0.0,
-        "momentum": 0.9,
-        "adam_beta1": 0.9,
-        "adam_beta2": 0.999,
-        "adam_epsilon": 1e-8,
-        "clip_norm": None,
-        "epochs": 500,
-        "batch_size": None,
-        "seed": 0,
-    },
+    "network": asdict(riskmlp.NetworkConfig()),
+    "optimizer": asdict(optim.OptimizerConfig()),
     "evaluation": {"bootstrap_replicates": 200, "alpha": 0.05, "seed": 0},
     "out_dir": ".",
 }
+# the config sections whose seed `--seed` overrides and provenance records
+SEEDED_SECTIONS = ("split", "optimizer", "evaluation")
 
 
 def load_config(path, seed_override=None, out_dir_override=None) -> dict:
@@ -199,9 +189,8 @@ def load_config(path, seed_override=None, out_dir_override=None) -> dict:
         )
     cfg = _merge(copy.deepcopy(TRAIN_DEFAULTS), user)
     if seed_override is not None:
-        cfg["split"]["seed"] = seed_override
-        cfg["optimizer"]["seed"] = seed_override
-        cfg["evaluation"]["seed"] = seed_override
+        for section in SEEDED_SECTIONS:
+            cfg[section]["seed"] = seed_override
         if cfg["dataset"]["simulate"] is not None:
             cfg["dataset"]["simulate"]["seed"] = seed_override
     if out_dir_override is not None:
@@ -216,11 +205,7 @@ def _load_source(ds_cfg: dict):
     if has_csv == has_sim:
         raise UsageError("dataset must specify exactly one of 'csv' or 'simulate'")
     if has_sim:
-        try:
-            spec = SimulationSpec(**ds_cfg["simulate"])
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad simulation spec: {exc}") from None
-        sim = generate(spec)
+        sim = generate(_build(SimulationSpec, ds_cfg["simulate"], "simulation spec"))
         return sim.dataset, sim.true_risks
     ds = load_csv(
         ds_cfg["csv"],
@@ -239,18 +224,22 @@ def _load_source(ds_cfg: dict):
     return ds, risks
 
 
-def _network_config(cfg: dict) -> riskmlp.NetworkConfig:
-    try:
-        return riskmlp.NetworkConfig(**cfg)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad network config: {exc}") from None
+def _load_data(args):
+    return load_csv(args.data, args.time_col, args.event_col, args.treatment_col)
 
 
-def _optimizer_config(cfg: dict) -> optim.OptimizerConfig:
-    try:
-        return optim.OptimizerConfig(**cfg)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad optimizer config: {exc}") from None
+def _model_inputs(ds, params: StandardizationParams | None):
+    """The model's inputs from `ds`, and the treatment feature's column or None.
+
+    Covariates are standardized by `params` (unless None) before the treatment
+    label is appended as the last feature, so labels are never rescaled; train,
+    search and recommend all build their inputs here.
+    """
+    if params is not None:
+        ds = standardize_apply(ds, params)
+    if ds.treatments is None:
+        return ds, None
+    return append_treatment_feature(ds)
 
 
 def _prepare_splits(cfg: dict):
@@ -266,32 +255,22 @@ def _prepare_splits(cfg: dict):
     if true_risks is not None:
         risk_parts = [true_risks[i] for i in idx]
 
+    params = standardize_fit(parts[0]) if cfg["standardize"] else None
+    parts, indices = zip(*(_model_inputs(p, params) for p in parts))
     standardization = None
-    if cfg["standardize"]:
-        params = standardize_fit(parts[0])
-        parts = [standardize_apply(p, params) for p in parts]
+    if params is not None:
         standardization = {
-            "means": [float(v) for v in params.means],
-            "stddevs": [float(v) for v in params.stddevs],
+            "means": params.means.tolist(),
+            "stddevs": params.stddevs.tolist(),
         }
-
-    treatment_index = None
-    if ds.treatments is not None:
-        augmented = [append_treatment_feature(p) for p in parts]
-        treatment_index = augmented[0][1]
-        parts = [a[0] for a in augmented]
-    return parts, risk_parts, standardization, treatment_index
+    return parts, risk_parts, standardization, indices[0]
 
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.seed, args.out_dir)
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = {
-        "split": cfg["split"]["seed"],
-        "optimizer": cfg["optimizer"]["seed"],
-        "evaluation": cfg["evaluation"]["seed"],
-    }
+    seeds = {section: cfg[section]["seed"] for section in SEEDED_SECTIONS}
     prov = _provenance("train", cfg, seeds)
 
     (train_ds, val_ds, test_ds), risk_parts, standardization, treatment_index = (
@@ -304,8 +283,8 @@ def cmd_train(args) -> int:
         test_risks = coxlinear.predict_linear_risk(model, test_ds.covariates)
         model_payload = {"model_type": "linear_cph", **coxlinear.to_dict(model)}
     elif cfg["model"] == "deep_cox":
-        net_config = _network_config(cfg["network"])
-        opt_config = _optimizer_config(cfg["optimizer"])
+        net_config = _build(riskmlp.NetworkConfig, cfg["network"], "network config")
+        opt_config = _build(optim.OptimizerConfig, cfg["optimizer"], "optimizer config")
         model, history = optim.train(train_ds, net_config, opt_config, val_ds)
         test_risks = riskmlp.forward(model, test_ds.covariates, mode="infer")
         model_payload = {"model_type": "deep_cox", **riskmlp.to_dict(model)}
@@ -379,27 +358,14 @@ def _space_from_file(path) -> optim.SearchSpace:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read search space: {exc}") from None
-    kwargs = {}
-    for key, value in raw.items():
-        kwargs[key] = tuple(value)
-    try:
-        return optim.SearchSpace(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad search space: {exc}") from None
+    kwargs = {key: tuple(value) for key, value in raw.items()}
+    return _build(optim.SearchSpace, kwargs, "search space")
 
 
 def cmd_search(args) -> int:
     seed = 0 if args.seed is None else args.seed
-    ds = load_csv(
-        args.data,
-        time_col=args.time_col,
-        event_col=args.event_col,
-        treatment_col=args.treatment_col,
-    )
-    if args.standardize:
-        ds = standardize_apply(ds, standardize_fit(ds))
-    if ds.treatments is not None:
-        ds, _ = append_treatment_feature(ds)
+    ds = _load_data(args)
+    ds, _ = _model_inputs(ds, standardize_fit(ds) if args.standardize else None)
     space = optim.SearchSpace() if args.space is None else _space_from_file(args.space)
 
     effective = {
@@ -478,20 +444,14 @@ def cmd_recommend(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read model: {exc}") from None
     model = _model_from_payload(payload)
-    ds = load_csv(
-        args.data,
-        time_col=args.time_col,
-        event_col=args.event_col,
-        treatment_col=args.treatment_col,
-    )
-    if ds.treatments is None:
+    std = payload.get("standardization")
+    params = None
+    if std is not None:
+        params = StandardizationParams(std["means"], std["stddevs"])
+    # no name holds the loaded data, so it is freed once standardized
+    ds, treatment_index = _model_inputs(_load_data(args), params)
+    if treatment_index is None:
         raise UsageError(f"{args.data}: no treatment column {args.treatment_col!r}")
-    if payload.get("standardization") is not None:
-        std = payload["standardization"]
-        ds = standardize_apply(
-            ds, StandardizationParams(std["means"], std["stddevs"])
-        )
-    ds, treatment_index = append_treatment_feature(ds)
     stored_index = payload.get("treatment_index")
     if stored_index is not None and stored_index != treatment_index:
         raise UsageError(
@@ -512,22 +472,16 @@ def cmd_recommend(args) -> int:
     body = recommend.report_to_dict(report)
     body["provenance"] = prov
     write_json(out_dir / "recommendation.json", body)
-    metrics.write_km_csv(
-        report.km_recommendation,
-        out_dir / "km_recommendation.csv",
-        comment=canonical_json(prov),
-    )
-    metrics.write_km_csv(
-        report.km_anti_recommendation,
-        out_dir / "km_anti_recommendation.csv",
-        comment=canonical_json(prov),
-    )
+    curves = [
+        ("Recommendation", report.km_recommendation),
+        ("Anti-Recommendation", report.km_anti_recommendation),
+    ]
+    for label, curve in curves:  # km_recommendation.csv, km_anti_recommendation.csv
+        name = "km_" + label.lower().replace("-", "_") + ".csv"
+        metrics.write_km_csv(curve, out_dir / name, comment=canonical_json(prov))
     if not args.no_svg:
         svg = render_km_svg(
-            [
-                ("Recommendation", report.km_recommendation),
-                ("Anti-Recommendation", report.km_anti_recommendation),
-            ],
+            curves,
             title="Survival by recommendation concordance",
             p_value=report.log_rank_result.p_value,
         )
@@ -559,8 +513,6 @@ def cmd_km(args) -> int:
         "alpha": args.alpha,
     }
     prov = _provenance("km", effective, {})
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.group_by is None:
         labelled = [("all", np.ones(times.shape[0], dtype=bool))]
@@ -568,10 +520,19 @@ def cmd_km(args) -> int:
         labels = sorted(set(groups))
         group_arr = np.asarray(groups)
         labelled = [(label, group_arr == label) for label in labels]
+    files = {}
+    for label, _ in labelled:
+        name = "km.csv" if label == "all" else f"km_{_safe_label(label)}.csv"
+        if files.setdefault(name, label) != label:
+            raise UsageError(
+                f"groups {files[name]!r} and {label!r} would both be written to {name}"
+            )
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     curves = []
     summary = {}
-    for label, mask in labelled:
+    for (label, mask), name in zip(labelled, files):
         curve = metrics.kaplan_meier(times[mask], events[mask], alpha=args.alpha)
         curves.append((label, curve))
         summary[label] = {
@@ -579,7 +540,6 @@ def cmd_km(args) -> int:
             "events": int(events[mask].sum()),
             "median_survival": metrics.median_survival(curve),
         }
-        name = "km.csv" if label == "all" else f"km_{_safe_label(label)}.csv"
         metrics.write_km_csv(curve, out_dir / name, comment=canonical_json(prov))
 
     log_rank_payload = None
@@ -611,13 +571,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Survival analysis experiments: Cox regression, deep Cox "
         "risk networks, and treatment recommendations.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out-dir", default=".", help="output directory")
-    common.add_argument("--seed", type=int, default=None, help="master seed")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out-dir", default=".", help="output directory")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="master seed")
+    columns = argparse.ArgumentParser(add_help=False)
+    columns.add_argument("--data", required=True, help="dataset CSV")
+    columns.add_argument("--time-col", default="time")
+    columns.add_argument("--event-col", default="event")
+    treated = argparse.ArgumentParser(add_help=False, parents=[columns])
+    treated.add_argument("--treatment-col", default="treatment")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", parents=[common], help="generate synthetic survival data")
+    p_sim = sub.add_parser(
+        "simulate", parents=[out, seeded], help="generate synthetic survival data"
+    )
     p_sim.add_argument("--risk", choices=["linear", "gaussian"], required=True)
     p_sim.add_argument("--n", type=int, required=True, help="number of patients")
     p_sim.add_argument("--d", type=int, default=10, help="number of covariates")
@@ -628,17 +597,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--with-treatment", action="store_true")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_train = sub.add_parser("train", parents=[common], help="train and evaluate a model")
+    p_train = sub.add_parser("train", parents=[seeded], help="train and evaluate a model")
+    p_train.add_argument("--out-dir", default=None, help="overrides the config's out_dir")
     p_train.add_argument("--config", required=True, help="experiment config JSON")
-    p_train.set_defaults(func=cmd_train, out_dir=None)
+    p_train.set_defaults(func=cmd_train)
 
     p_search = sub.add_parser(
-        "search", parents=[common], help="random hyperparameter search"
+        "search", parents=[out, seeded, treated], help="random hyperparameter search"
     )
-    p_search.add_argument("--data", required=True, help="dataset CSV")
-    p_search.add_argument("--time-col", default="time")
-    p_search.add_argument("--event-col", default="event")
-    p_search.add_argument("--treatment-col", default="treatment")
     p_search.add_argument("--trials", type=int, default=10)
     p_search.add_argument("--k", type=int, default=3)
     p_search.add_argument("--epochs", type=int, default=200)
@@ -651,20 +617,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.set_defaults(func=cmd_search)
 
     p_rec = sub.add_parser(
-        "recommend", parents=[common], help="evaluate treatment recommendations"
+        "recommend", parents=[out, treated], help="evaluate treatment recommendations"
     )
     p_rec.add_argument("--model", required=True, help="model JSON from train")
-    p_rec.add_argument("--data", required=True, help="test dataset CSV")
-    p_rec.add_argument("--time-col", default="time")
-    p_rec.add_argument("--event-col", default="event")
-    p_rec.add_argument("--treatment-col", default="treatment")
     p_rec.add_argument("--no-svg", action="store_true")
     p_rec.set_defaults(func=cmd_recommend)
 
-    p_km = sub.add_parser("km", parents=[common], help="Kaplan-Meier curves")
-    p_km.add_argument("--data", required=True, help="dataset CSV")
-    p_km.add_argument("--time-col", default="time")
-    p_km.add_argument("--event-col", default="event")
+    p_km = sub.add_parser("km", parents=[out, columns], help="Kaplan-Meier curves")
     p_km.add_argument("--group-by", default=None, help="column defining curve groups")
     p_km.add_argument("--alpha", type=float, default=0.05)
     p_km.add_argument("--no-svg", action="store_true")

@@ -36,29 +36,30 @@ class SurvivalDataset:
     def __post_init__(self):
         cov = np.atleast_2d(np.asarray(self.covariates, dtype=float))
         times = np.asarray(self.times, dtype=float)
+        # events and labels are checked as read, by the CSV reader's rules,
+        # before the int64 cast could truncate them
         events = np.asarray(self.events)
         object.__setattr__(self, "covariates", cov)
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "events", events.astype(np.int64))
         if cov.ndim != 2 or cov.shape[0] < 1 or cov.shape[1] < 1:
             raise ValueError("covariates must be a non-empty n x d matrix")
         n, d = cov.shape
-        if times.shape != (n,) or self.events.shape != (n,):
+        if times.shape != (n,) or events.shape != (n,):
             raise ValueError("times/events length must match covariate rows")
         if not np.all(np.isfinite(cov)):
             raise ValueError("covariates contain non-finite values")
         if not np.all(np.isfinite(times)) or np.any(times <= 0):
             raise ValueError("times must be strictly positive and finite")
-        if not np.all(np.isin(self.events, (0, 1))):
+        if np.any(_RULES["event"][0](events)):
             raise ValueError("events must contain only 0 or 1")
+        object.__setattr__(self, "events", events.astype(np.int64))
         if self.treatments is not None:
-            treat = np.asarray(self.treatments).astype(np.int64)
-            object.__setattr__(self, "treatments", treat)
+            treat = np.asarray(self.treatments)
             if treat.shape != (n,):
                 raise ValueError("treatments length must match covariate rows")
-            labels = np.unique(treat)
-            if labels.min() < 0:
-                raise ValueError("treatment labels must be non-negative")
+            if np.any(_RULES["treatment"][0](treat)):
+                raise ValueError("treatment labels must be non-negative integers")
+            object.__setattr__(self, "treatments", treat.astype(np.int64))
         if not self.feature_names:
             object.__setattr__(
                 self, "feature_names", tuple(f"x{i}" for i in range(d))

@@ -40,19 +40,29 @@ class BootstrapInterval:
     redraws: int = 0
 
 
-def _validate_triples(times, events, risks):
+def _validate_survival(times, events, shape_error: str):
+    """Finite float times and 0/1 int64 events, or ValueError; `shape_error`
+    is the message for arrays that are not equal-length and 1-d."""
     times = np.asarray(times, dtype=float)
     raw_events = np.asarray(events)
-    risks = np.asarray(risks, dtype=float)
-    if not times.shape == raw_events.shape == risks.shape or times.ndim != 1:
-        raise ValueError("times, events, risks must be equal-length 1-d arrays")
+    if times.ndim != 1 or times.shape != raw_events.shape:
+        raise ValueError(shape_error)
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
-    if not np.all(np.isfinite(risks)):
-        raise ValueError("risks must be finite")
     if not np.all((raw_events == 0) | (raw_events == 1)):
         raise ValueError("events must contain only 0 or 1")
-    return times, raw_events.astype(np.int64), risks
+    return times, raw_events.astype(np.int64)
+
+
+def _validate_triples(times, events, risks):
+    shape_error = "times, events, risks must be equal-length 1-d arrays"
+    times, events = _validate_survival(times, events, shape_error)
+    risks = np.asarray(risks, dtype=float)
+    if risks.shape != times.shape:
+        raise ValueError(shape_error)
+    if not np.all(np.isfinite(risks)):
+        raise ValueError("risks must be finite")
+    return times, events, risks
 
 
 def concordance_index(times, events, risks) -> float:
@@ -164,10 +174,10 @@ def kaplan_meier(
     gives plain linear bands); both are clipped to [0, 1]. Where the estimate
     hits zero the band collapses to zero.
     """
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=np.int64)
-    if times.ndim != 1 or times.shape != events.shape or times.size == 0:
-        raise ValueError("times and events must be equal-length non-empty arrays")
+    shape_error = "times and events must be equal-length non-empty arrays"
+    times, events = _validate_survival(times, events, shape_error)
+    if times.size == 0:
+        raise ValueError(shape_error)
 
     ts = np.sort(times)
     event_times, deaths = np.unique(times[events == 1], return_counts=True)
@@ -218,10 +228,9 @@ def log_rank(times_a, events_a, times_b, events_b) -> LogRankResult:
     their hypergeometric expectation given the pooled risk set; the statistic
     is (sum of O-E)^2 over the summed hypergeometric variance.
     """
-    ta = np.asarray(times_a, dtype=float)
-    ea = np.asarray(events_a, dtype=np.int64)
-    tb = np.asarray(times_b, dtype=float)
-    eb = np.asarray(events_b, dtype=np.int64)
+    shape_error = "each group's times and events must be equal-length 1-d arrays"
+    ta, ea = _validate_survival(times_a, events_a, shape_error)
+    tb, eb = _validate_survival(times_b, events_b, shape_error)
     if ta.size == 0 or tb.size == 0:
         raise ValueError("both groups must be non-empty")
     pooled_t = np.concatenate([ta, tb])

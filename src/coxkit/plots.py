@@ -23,10 +23,17 @@ _HUNDREDTHS_MAX = 100 * max(WIDTH, HEIGHT)
 _PATH_BLOCK_POINTS = 8192
 
 
+# Characters XML 1.0 forbids even as character references, mapped to U+FFFD.
+_NOT_XML = dict.fromkeys(
+    [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF], "\ufffd"
+)
+
+
 def _escape(text: str) -> str:
     """`text` as XML character data (`xml.sax.saxutils.escape`, without
-    importing its ~2 MB of modules)."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    importing its ~2 MB of modules), each character XML forbids as U+FFFD."""
+    escaped = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return escaped.translate(_NOT_XML)
 
 
 def _fmt(value: float) -> str:

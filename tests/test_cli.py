@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import xml.etree.ElementTree as ET
@@ -5,7 +6,14 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from coxkit import optim
-from coxkit.cli import canonical_json, main, write_svg
+from coxkit.cli import (
+    build_parser,
+    canonical_json,
+    config_hash,
+    load_config,
+    main,
+    write_svg,
+)
 from coxkit.data import load_csv, write_csv
 from coxkit.metrics import kaplan_meier
 from coxkit.plots import render_km_svg
@@ -41,6 +49,105 @@ def make_train_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return path
+
+
+# Every subcommand's options as {flag: (default, required)}. km and recommend
+# draw no random number, so they take no --seed.
+PARSER_SHAPE = {
+    "simulate": {
+        "--out-dir": (".", False),
+        "--seed": (None, False),
+        "--risk": (None, True),
+        "--n": (None, True),
+        "--d": (10, False),
+        "--lambda-max": (5.0, False),
+        "--r": (0.5, False),
+        "--mean-u": (5.0, False),
+        "--observed-fraction": (0.9, False),
+        "--with-treatment": (False, False),
+    },
+    "train": {
+        "--out-dir": (None, False),
+        "--seed": (None, False),
+        "--config": (None, True),
+    },
+    "search": {
+        "--out-dir": (".", False),
+        "--seed": (None, False),
+        "--data": (None, True),
+        "--time-col": ("time", False),
+        "--event-col": ("event", False),
+        "--treatment-col": ("treatment", False),
+        "--trials": (10, False),
+        "--k": (3, False),
+        "--epochs": (200, False),
+        "--optimizer": ("adam", False),
+        "--space": (None, False),
+        "--no-standardize": (True, False),
+    },
+    "recommend": {
+        "--out-dir": (".", False),
+        "--data": (None, True),
+        "--time-col": ("time", False),
+        "--event-col": ("event", False),
+        "--treatment-col": ("treatment", False),
+        "--model": (None, True),
+        "--no-svg": (False, False),
+    },
+    "km": {
+        "--out-dir": (".", False),
+        "--data": (None, True),
+        "--time-col": ("time", False),
+        "--event-col": ("event", False),
+        "--group-by": (None, False),
+        "--alpha": (0.05, False),
+        "--no-svg": (False, False),
+    },
+}
+
+
+class TestParser:
+    def test_shape(self):
+        (commands,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        shape = {
+            name: {
+                flag: (action.default, action.required)
+                for action in parser._actions
+                if not isinstance(action, argparse._HelpAction)
+                for flag in action.option_strings
+            }
+            for name, parser in commands.choices.items()
+        }
+        assert shape == PARSER_SHAPE
+
+    def test_config_hash_pinned(self, tmp_path):
+        # the defaults, network and optimizer included, are part of the hash
+        path = tmp_path / "c.json"
+        path.write_text('{"dataset": {"simulate": {"n": 50, "d": 2, "seed": 1}}}')
+        assert config_hash(load_config(path)) == "1b2ed6c22f314d30"
+
+    def test_commands_default_to_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text(json.dumps({
+            "dataset": {"csv": "dataset.csv"},
+            "optimizer": {"epochs": 5},
+            "evaluation": {"bootstrap_replicates": 5},
+        }))
+        for argv, written in [
+            (["simulate", "--risk", "gaussian", "--lambda-max", "10", "--n", "300",
+              "--d", "3", "--with-treatment", "--seed", "2"], "provenance.json"),
+            (["train", "--config", "config.json"], "metrics.json"),
+            (["recommend", "--model", "model.json", "--data", "dataset.csv"],
+             "recommendation.json"),
+            (["km", "--data", "dataset.csv"], "km.json"),
+            (["search", "--data", "dataset.csv", "--trials", "1", "--k", "2",
+              "--epochs", "2"], "best_config.json"),
+        ]:
+            assert run(argv) == 0, argv[0]
+            assert (tmp_path / written).exists(), argv[0]
 
 
 class TestSimulateCommand:
@@ -363,7 +470,7 @@ class TestKmCommand:
         assert message in capsys.readouterr().err
         assert not (out / "km.json").exists()
 
-    @pytest.mark.parametrize("labels", [("a&b", "c"), ("<x>", "y\"z")])
+    @pytest.mark.parametrize("labels", [("a&b", "c"), ("<x>", "y\"z"), ("a\x01b", "c")])
     def test_svg_parses_with_markup_in_labels(self, tmp_path, labels):
         data = tmp_path / "in--put.csv"
         rows = [f"{1 + i % 7}.5,{i % 2},{labels[i % 2]}" for i in range(40)]
@@ -373,7 +480,9 @@ class TestKmCommand:
                     "--out-dir", str(out)]) == 0
         text = (out / "km.svg").read_text(encoding="utf-8")
         root = ET.fromstring(text)
-        assert {t.text for t in root.iter("{http://www.w3.org/2000/svg}text")} >= set(labels)
+        # XML 1.0 has no way to write a control character such as \x01
+        shown = {label.replace("\x01", "\ufffd") for label in labels}
+        assert {t.text for t in root.iter("{http://www.w3.org/2000/svg}text")} >= shown
         first = text.splitlines()[0]
         assert first.startswith("<!-- ") and first.endswith(" -->")
         provenance = json.loads((out / "km.json").read_text())["provenance"]
@@ -388,6 +497,16 @@ class TestKmCommand:
         first = text.splitlines()[0]
         assert "--" not in first[len("<!--"):-len("-->")]
         assert json.loads(first[len("<!-- "):-len(" -->")]) == provenance
+
+    def test_colliding_group_file_names_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        rows = [f"{1 + i % 7}.5,{i % 2},{('a&b', 'a_b')[i % 2]}" for i in range(40)]
+        data.write_text("time,event,grp\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "km"
+        assert run(["km", "--data", str(data), "--group-by", "grp",
+                    "--out-dir", str(out)]) == 2
+        assert "'a&b' and 'a_b'" in capsys.readouterr().err
+        assert not (out / "km.json").exists()
 
     def test_missing_file_exit_2(self, tmp_path):
         code = run(["km", "--data", str(tmp_path / "nope.csv"),

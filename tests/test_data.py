@@ -322,6 +322,26 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             SurvivalDataset(covariates=[[1.0], [2.0]], times=[1.0], events=[1])
 
+    @pytest.mark.parametrize(
+        "events, treatments, message",
+        [
+            ([0.5, 1.7, 1.0], None, "0 or 1"),  # once truncated to [0, 1, 1]
+            ([1, np.nan, 0], None, "0 or 1"),
+            ([1, 0, 1], [0.5, 1.2, 2.0], "treatment labels"),  # once [0, 1, 2]
+            ([1, 0, 1], [0, -1, 1], "treatment labels"),
+            ([1, 0, 1], [0, np.nan, 1], "treatment labels"),
+            ([1, 0, 1], [0, 2.0**63, 1], "treatment labels"),
+        ],
+    )
+    def test_events_and_labels_checked_before_cast(self, events, treatments, message):
+        with pytest.raises(ValueError, match=message):
+            SurvivalDataset(
+                covariates=[[1.0], [2.0], [3.0]],
+                times=[1.0, 2.0, 3.0],
+                events=events,
+                treatments=treatments,
+            )
+
 
 class TestSplit:
     def test_paper_sizes(self):

@@ -229,6 +229,17 @@ class TestKaplanMeier:
         assert np.all(np.diff(km.survival) <= 1e-12)
         assert np.all(np.diff(km.at_risk) <= 0)
 
+    @pytest.mark.parametrize(
+        "times, events, message",
+        [
+            ([1, 2, 3], [2, 1, 0], "events must contain only 0 or 1"),
+            ([1, np.nan, 3], [1, 1, 0], "times must be finite"),
+        ],
+    )
+    def test_invalid_input_rejected(self, times, events, message):
+        with pytest.raises(ValueError, match=message):
+            kaplan_meier(times, events)
+
     def test_zero_survival_band_collapses(self):
         km = kaplan_meier([1, 2], [1, 1])
         assert km.survival[-1] == 0.0
@@ -307,6 +318,10 @@ class TestLogRank:
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             log_rank([], [], [1.0], [1])
+
+    def test_nan_time_rejected(self):
+        with pytest.raises(ValueError, match="times must be finite"):
+            log_rank([1.0, np.nan], [1, 1], [2.0, 3.0], [1, 0])
 
     def test_needs_an_event(self):
         with pytest.raises(ValueError, match="event"):
