@@ -90,7 +90,9 @@ def _merge(defaults: dict, override: dict, path: str = "") -> dict:
     for key, value in override.items():
         if key not in defaults:
             raise UsageError(f"unknown config key {path + key!r}")
-        if isinstance(defaults[key], dict) and isinstance(value, dict):
+        if isinstance(defaults[key], dict):
+            if not isinstance(value, dict):
+                raise UsageError(f"bad config: {path + key!r} must be a JSON object")
             out[key] = _merge(defaults[key], value, path + key + ".")
         else:
             out[key] = value
@@ -172,6 +174,14 @@ TRAIN_DEFAULTS = {
 }
 # the config sections whose seed `--seed` overrides and provenance records
 SEEDED_SECTIONS = ("split", "optimizer", "evaluation")
+# config values no dataclass checks, with the JSON types they must have
+PLAIN_VALUE_TYPES = {
+    ("split", "fractions"): (list, "an array"),
+    ("split", "seed"): (int, "an integer"),
+    ("evaluation", "bootstrap_replicates"): (int, "an integer"),
+    ("evaluation", "alpha"): ((int, float), "a number"),
+    ("evaluation", "seed"): (int, "an integer"),
+}
 
 
 def load_config(path, seed_override=None, out_dir_override=None) -> dict:
@@ -195,6 +205,12 @@ def load_config(path, seed_override=None, out_dir_override=None) -> dict:
             cfg["dataset"]["simulate"]["seed"] = seed_override
     if out_dir_override is not None:
         cfg["out_dir"] = out_dir_override
+    for (section, key), (kinds, kind_name) in PLAIN_VALUE_TYPES.items():
+        value = cfg[section][key]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise UsageError(
+                f"bad {section} config: {key} must be {kind_name}, got {value!r}"
+            )
     return cfg
 
 
@@ -358,6 +374,8 @@ def _space_from_file(path) -> optim.SearchSpace:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read search space: {exc}") from None
+    if not isinstance(raw, dict) or not all(isinstance(v, list) for v in raw.values()):
+        raise UsageError("bad search space: must be a JSON object of arrays")
     kwargs = {key: tuple(value) for key, value in raw.items()}
     return _build(optim.SearchSpace, kwargs, "search space")
 

@@ -16,13 +16,6 @@ PLOT_W = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
 PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
-# `_fmt_all` formats coordinates up to the canvas size, in hundredths of a
-# pixel, from their rounded integer.
-_HUNDREDTHS_MAX = 100 * max(WIDTH, HEIGHT)
-# Points formatted at a time by `_path`: bounds the strings alive at once.
-_PATH_BLOCK_POINTS = 8192
-
-
 # Characters XML 1.0 forbids even as character references, mapped to U+FFFD.
 _NOT_XML = dict.fromkeys(
     [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF], "\ufffd"
@@ -38,37 +31,6 @@ def _escape(text: str) -> str:
 
 def _fmt(value: float) -> str:
     return f"{value:.2f}".rstrip("0").rstrip(".")
-
-
-def _fmt_all(values) -> np.ndarray:
-    """`_fmt` of every element of `values`, as an object array of strings.
-
-    `f"{v:.2f}"` prints v rounded to the nearest k / 100. For 0 < v within
-    the canvas, 100 * v is off by at most ~1e-11, so where it lies at least
-    1e-6 from a half-integer its `np.rint` is that k, and the string is
-    joined from the strings of k // 100 and k % 100, each formatted once per
-    call. Exact ties such as 0.125, values that print as -0, zero, NaN,
-    infinities and values beyond the canvas go through `_fmt`.
-    """
-    values = np.asarray(values, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = 100.0 * values
-        k = np.rint(scaled)
-        exact = (
-            (values > 0.0)
-            & (k <= _HUNDREDTHS_MAX)
-            & (np.abs(scaled - k) <= 0.5 - 1e-6)
-        )
-    units, cents = np.divmod(k[exact].astype(np.int64), 100)
-    unit_strings = [str(u) for u in range(units.max(initial=0) + 1)]
-    cent_strings = [f".{c:02d}".rstrip("0").rstrip(".") for c in range(100)]
-    out = np.empty(values.shape, dtype=object)
-    out[exact] = (
-        np.array(unit_strings, dtype=object)[units]
-        + np.array(cent_strings, dtype=object)[cents]
-    )
-    out[~exact] = [_fmt(v) for v in values[~exact].tolist()]
-    return out
 
 
 def _px(x, x_max: float):
@@ -93,20 +55,30 @@ def _band_points(curve: KaplanMeierCurve, x_max: float):
 
 
 def _path(xs, ys, x_max: float, close: bool = False) -> str:
-    """SVG path data of the polyline through the data points (xs, ys)."""
-    xs = _px(np.asarray(xs, dtype=float), x_max)
+    """SVG path data of the polyline through the data points (xs, ys), drawn
+    at plot resolution.
+
+    Each run of consecutive points whose x rounds to the same pixel column
+    becomes four points at that column: the run's entering, lowest, highest
+    and leaving y, less repeats of the point before. Every data point thus
+    lies on a vertical segment at most half a pixel from it.
+    """
+    xs = np.rint(_px(np.asarray(xs, dtype=float), x_max))
     ys = _py(np.asarray(ys, dtype=float))
-    pieces = []
-    for start in range(0, xs.size, _PATH_BLOCK_POINTS):
-        block = slice(start, start + _PATH_BLOCK_POINTS)
-        parts = np.empty((xs[block].size, 4), dtype=object)
-        parts[:, 0] = " L"
-        parts[:, 1] = _fmt_all(xs[block])
-        parts[:, 2] = ","
-        parts[:, 3] = _fmt_all(ys[block])
-        pieces.append("".join(parts.ravel().tolist()))
-    pieces[0] = "M" + pieces[0][2:]
-    return "".join(pieces) + (" Z" if close else "")
+    starts = np.flatnonzero(np.diff(xs, prepend=np.nan) != 0)
+    ends = np.append(starts[1:], xs.size) - 1
+    columns = np.repeat(xs[starts], 4)
+    rows = np.column_stack(
+        (
+            ys[starts],
+            np.minimum.reduceat(ys, starts),
+            np.maximum.reduceat(ys, starts),
+            ys[ends],
+        )
+    ).ravel()
+    points = [f"{_fmt(x)},{_fmt(y)}" for x, y in zip(columns.tolist(), rows.tolist())]
+    drawn = [p for p, prev in zip(points, [None] + points) if p != prev]
+    return "M" + " L".join(drawn) + (" Z" if close else "")
 
 
 def render_km_svg(

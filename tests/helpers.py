@@ -11,7 +11,6 @@ import csv
 import numpy as np
 
 from coxkit.data import SurvivalDataset
-from coxkit.plots import _fmt, _px, _py
 from coxkit.riskmlp import SELU_ALPHA, SELU_LAMBDA
 
 
@@ -242,18 +241,6 @@ def reference_band_points(curve, x_max):
     ux, uy = reference_step_points(curve.event_times, curve.ci_upper, x_max)
     lx, ly = reference_step_points(curve.event_times, curve.ci_lower, x_max)
     return ux + lx[::-1], uy + ly[::-1]
-
-
-def reference_path(xs, ys, x_max, close=False):
-    """SVG path data with every coordinate mapped and formatted on its own.
-
-    The oracle for `coxkit.plots._path`, which maps and formats whole arrays.
-    """
-    parts = [
-        f"{'M' if i == 0 else 'L'}{_fmt(_px(x, x_max))},{_fmt(_py(y))}"
-        for i, (x, y) in enumerate(zip(xs, ys))
-    ]
-    return " ".join(parts) + (" Z" if close else "")
 
 
 def _write_rows(path, header, rows, comment):

@@ -324,6 +324,22 @@ class TestTrainCommand:
         config = make_train_config(tmp_path, typo_key=1)
         assert run(["train", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"split": {"fractions": 5}},
+             "bad split config: fractions must be an array, got 5"),
+            ({"evaluation": {"bootstrap_replicates": "x"}},
+             "bad evaluation config: bootstrap_replicates must be an integer, got 'x'"),
+            ({"split": 5}, "bad config: 'split' must be a JSON object"),
+        ],
+        ids=["fractions", "bootstrap-replicates", "split-section"],
+    )
+    def test_wrong_json_type_exit_2(self, tmp_path, capsys, override, message):
+        config = make_train_config(tmp_path, **override)
+        assert run(["train", "--config", str(config)]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_divergent_training_exit_1(self, tmp_path):
@@ -360,6 +376,17 @@ class TestSearchCommand:
         assert log["best_trial"] in (0, 1, 2)
         best = json.loads((out / "best_config.json").read_text())
         assert "network" in best and "optimizer" in best
+
+    @pytest.mark.parametrize("space", [[1, 2], {"dropout": 5}])
+    def test_wrong_json_type_space_exit_2(self, tmp_path, capsys, space):
+        run(["simulate", "--risk", "linear", "--n", "60", "--d", "3",
+             "--out-dir", str(tmp_path)])
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(space), encoding="utf-8")
+        code = run(["search", "--data", str(tmp_path / "dataset.csv"),
+                    "--space", str(path), "--out-dir", str(tmp_path / "search")])
+        assert code == 2
+        assert "bad search space: must be a JSON object of arrays" in capsys.readouterr().err
 
     def test_rerun_identical(self, tmp_path):
         sim_dir = tmp_path / "sim"

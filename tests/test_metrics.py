@@ -335,6 +335,66 @@ class TestLogRank:
         assert res.p_value < 1e-6
 
 
+# Heavily tied two-group instances: (time, event, group) rows.
+_tied_groups = st.lists(
+    st.tuples(st.integers(1, 4), st.integers(0, 1), st.integers(0, 1)),
+    min_size=1,
+    max_size=60,
+)
+_KM_FIELDS = ("event_times", "survival", "ci_lower", "ci_upper", "at_risk", "deaths")
+
+
+def _km_and_log_rank(times, events, groups):
+    """`kaplan_meier` of all patients, and `log_rank` of group 0 against 1 or
+    None where it is undefined (an empty group or no event)."""
+    km = kaplan_meier(times, events)
+    a, b = groups == 0, groups == 1
+    if not (a.any() and b.any() and events.any()):
+        return km, None
+    return km, log_rank(times[a], events[a], times[b], events[b])
+
+
+class TestKaplanMeierLogRankProperties:
+    @settings(deadline=None)
+    @given(_tied_groups, st.randoms(use_true_random=False))
+    def test_permutation_bit_identical(self, rows, random):
+        times, events, groups = (np.array(col) for col in zip(*rows))
+        times = times.astype(float)
+        perm = np.array(random.sample(range(len(rows)), len(rows)), dtype=int)
+        km, lr = _km_and_log_rank(times, events, groups)
+        km_p, lr_p = _km_and_log_rank(times[perm], events[perm], groups[perm])
+        for field in _KM_FIELDS:
+            assert np.array_equal(getattr(km_p, field), getattr(km, field))
+        assert lr_p == lr
+
+    @settings(deadline=None)
+    @given(_tied_groups, st.floats(1e-3, 1e3))
+    def test_time_scaling(self, rows, scale):
+        times, events, groups = (np.array(col) for col in zip(*rows))
+        times = times.astype(float)
+        km, lr = _km_and_log_rank(times, events, groups)
+        km_s, lr_s = _km_and_log_rank(scale * times, events, groups)
+        assert np.array_equal(km_s.event_times, scale * km.event_times)
+        for field in _KM_FIELDS[1:]:
+            assert np.array_equal(getattr(km_s, field), getattr(km, field))
+        assert lr_s == lr
+
+    @settings(deadline=None)
+    @given(_tied_groups)
+    def test_log_rank_symmetric_in_groups(self, rows):
+        times, events, groups = (np.array(col) for col in zip(*rows))
+        times = times.astype(float)
+        _, lr = _km_and_log_rank(times, events, groups)
+        if lr is None:
+            return
+        _, swapped = _km_and_log_rank(times, events, 1 - groups)
+        # The O - E sum cancels on near-balanced tables, so its rounding moves
+        # a small statistic by more than rel=1e-12 (2.5e-7 by ~3e-19; 0 in
+        # exact arithmetic comes out as ~1e-32). 1e-15 bounds that rounding
+        # at these sizes: none of 400k random tables exceeds it.
+        assert swapped.statistic == pytest.approx(lr.statistic, rel=1e-12, abs=1e-15)
+
+
 class TestRiskMse:
     def test_identity(self):
         x = np.array([1.0, 2.0, 3.0])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,56 +7,8 @@ from hypothesis import strategies as st
 
 from coxkit import plots
 from coxkit.metrics import KaplanMeierCurve, kaplan_meier
-from coxkit.plots import _fmt, _fmt_all, render_km_svg
-from helpers import (
-    reference_band_points,
-    reference_path,
-    reference_step_points,
-)
-
-# Ties, signed zeros, subnormals, non-finite and off-canvas values: every
-# formatter property example includes them.
-_EDGE_VALUES = [
-    0.0, -0.0, -0.004, 0.004, 0.005, 0.125, 0.135, 70.005, 720.0, 720.005,
-    5e-324, float("nan"), float("inf"), float("-inf"), 1e300, -1e300,
-]
-
-
-def _near_hundredth_ties():
-    """Values within a few ulps of k / 200 inside the canvas: where rounding
-    to two decimals is closest to a tie."""
-    def nudge(args):
-        half_hundredths, ulps = args
-        value = half_hundredths / 200.0
-        for _ in range(abs(ulps)):
-            value = float(np.nextafter(value, np.inf if ulps > 0 else -np.inf))
-        return value
-
-    return st.tuples(st.integers(0, 200 * 730), st.integers(-3, 3)).map(nudge)
-
-
-_coordinates = st.one_of(
-    st.floats(),
-    st.floats(min_value=-1.0, max_value=730.0),
-    _near_hundredth_ties(),
-)
-
-
-class TestFmtAll:
-    @settings(deadline=None, max_examples=300)
-    @given(st.lists(_coordinates, max_size=60))
-    def test_equals_fmt_of_each_element(self, drawn):
-        values = _EDGE_VALUES + drawn
-        assert _fmt_all(np.array(values)).tolist() == [_fmt(v) for v in values]
-
-    def test_edge_values(self):
-        got = _fmt_all(np.array(_EDGE_VALUES)).tolist()
-        assert got[:7] == ["0", "-0", "-0", "0", "0.01", "0.12", "0.14"]
-        assert got[11:14] == ["nan", "inf", "-inf"]
-
-    def test_keeps_shape(self):
-        assert _fmt_all(np.zeros((2, 3))).shape == (2, 3)
-        assert _fmt_all(np.array([])).shape == (0,)
+from coxkit.plots import PLOT_W, _px, _py, render_km_svg
+from helpers import reference_band_points, reference_step_points
 
 
 def _curves(seed, n, groups, tie_levels=None):
@@ -91,18 +45,66 @@ def _render_with_oracle(monkeypatch, *args, **kwargs):
     with monkeypatch.context() as patch:
         patch.setattr(plots, "_step_points", reference_step_points)
         patch.setattr(plots, "_band_points", reference_band_points)
-        patch.setattr(plots, "_path", reference_path)
         return render_km_svg(*args, **kwargs)
+
+
+def _path_points(svg):
+    """The (x, y) vertices of each `<path d=...>` in `svg`, as arrays."""
+    out = []
+    for d in re.findall(r'<path d="M([^"]*?)(?: Z)?"', svg):
+        pts = np.array([p.split(",") for p in d.split(" L")], dtype=float)
+        out.append((pts[:, 0], pts[:, 1]))
+    return out
+
+
+def _runs(xs):
+    """Start and stop indices of the runs of consecutive equal values in `xs`."""
+    starts = np.flatnonzero(np.diff(xs, prepend=np.nan) != 0)
+    return starts, np.append(starts[1:], len(xs))
+
+
+def _assert_covers(drawn, xs, ys, x_max):
+    """Every data point (xs, ys), mapped to pixels, lies within half a pixel
+    horizontally of a vertical segment of the drawn path and inside its y
+    span, up to 0.005 px of two-decimal rounding."""
+    dx, dy = drawn
+    px, py = _px(np.asarray(xs, float), x_max), _py(np.asarray(ys, float))
+    covered = np.zeros(px.shape, dtype=bool)
+    for start, stop in zip(*_runs(dx)):
+        low, high = dy[start:stop].min(), dy[start:stop].max()
+        covered |= (
+            (np.abs(px - dx[start]) <= 0.505)
+            & (py >= low - 0.005)
+            & (py <= high + 0.005)
+        )
+    assert covered.all(), f"{(~covered).sum()} points off the drawn path"
 
 
 class TestRenderMatchesOracle:
     @pytest.mark.parametrize("case", sorted(CURVE_CASES))
     @pytest.mark.parametrize("show_bands", [True, False])
     def test_same_bytes(self, monkeypatch, case, show_bands):
+        """The SVG equals the one drawn from the oracle's points, and each
+        path passes within half a pixel of every one of those points."""
         curves = CURVE_CASES[case]
         kwargs = dict(title="t", p_value=0.04, show_bands=show_bands)
-        expected = _render_with_oracle(monkeypatch, curves, **kwargs)
-        assert render_km_svg(curves, **kwargs) == expected
+        svg = render_km_svg(curves, **kwargs)
+        assert svg == _render_with_oracle(monkeypatch, curves, **kwargs)
+
+        x_max = 1.02 * max(
+            [c.event_times[-1] if c.event_times.size else 1.0 for _, c in curves]
+        )
+        expected = []
+        for _, curve in curves:
+            if show_bands and curve.event_times.size:
+                expected.append(reference_band_points(curve, x_max))
+            expected.append(
+                reference_step_points(curve.event_times, curve.survival, x_max)
+            )
+        drawn = _path_points(svg)
+        assert len(drawn) == len(expected)
+        for path, (xs, ys) in zip(drawn, expected):
+            _assert_covers(path, xs, ys, x_max)
 
     @pytest.mark.parametrize("case", sorted(CURVE_CASES))
     def test_points_equal_oracle(self, case):
@@ -117,15 +119,41 @@ class TestRenderMatchesOracle:
                 for a, b in zip(got, want):
                     assert np.array_equal(a, np.array(b))
 
-    @settings(deadline=None, max_examples=100)
+
+class TestPlotResolution:
+    @settings(deadline=None, max_examples=200)
     @given(
-        st.lists(st.floats(0.001, 1e4), min_size=2, max_size=40),
-        st.lists(st.floats(-0.5, 1.5), min_size=2, max_size=40),
+        st.lists(
+            st.tuples(st.floats(0.0, 8.0), st.floats(-0.5, 1.5)),
+            min_size=1,
+            max_size=40,
+        ),
         st.booleans(),
     )
-    def test_path_equals_oracle(self, xs, ys, close):
-        size = min(len(xs), len(ys))
-        xs, ys = xs[:size], ys[:size]
-        x_max = max(xs) * 1.02
-        got = plots._path(np.array(xs), np.array(ys), x_max, close)
-        assert got == reference_path(xs, ys, x_max, close)
+    def test_path_covers_every_point(self, points, close):
+        """With x_max = PLOT_W one x unit is one pixel, so runs of several
+        points share a column, their lowest and highest y anywhere in it."""
+        xs, ys = (np.array(v) for v in zip(*points))
+        d = plots._path(xs, ys, float(PLOT_W), close)
+        assert d.startswith("M") and d.endswith(" Z") == close
+        (path,) = _path_points(f'<path d="{d}"')
+        _assert_covers(path, xs, ys, float(PLOT_W))
+        starts, stops = _runs(path[0])
+        assert (stops - starts).max() <= 4
+
+    def test_size_of_two_40k_event_curves(self):
+        rng = np.random.default_rng(7)
+        curves = [
+            (f"group {g}", kaplan_meier(rng.exponential(5.0, 40_000), np.ones(40_000)))
+            for g in range(2)
+        ]
+        assert all(c.event_times.size == 40_000 for _, c in curves)
+        svg = render_km_svg(curves)
+        assert len(svg.encode()) < 200_000
+        for xs, _ in _path_points(svg):
+            # at most 4 points per column on each pass: the step curve passes
+            # each column once, the band polygon once per edge
+            starts, stops = _runs(xs)
+            assert (stops - starts).max() <= 4
+            _, passes = np.unique(xs[starts], return_counts=True)
+            assert passes.max() <= 2
