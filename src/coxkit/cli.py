@@ -174,14 +174,30 @@ TRAIN_DEFAULTS = {
 }
 # the config sections whose seed `--seed` overrides and provenance records
 SEEDED_SECTIONS = ("split", "optimizer", "evaluation")
-# config values no dataclass checks, with the JSON types they must have
+# config values no dataclass checks, by (section or None for the top level,
+# key), with the JSON types they must have
+_NUMBER = (int, float)
+_TEXT_OR_NULL = ((str, type(None)), "a string or null")
 PLAIN_VALUE_TYPES = {
+    ("dataset", "csv"): _TEXT_OR_NULL,
+    ("dataset", "time_col"): (str, "a string"),
+    ("dataset", "event_col"): (str, "a string"),
+    ("dataset", "treatment_col"): _TEXT_OR_NULL,
+    ("dataset", "risks_csv"): _TEXT_OR_NULL,
+    ("dataset", "simulate"): ((dict, type(None)), "a JSON object or null"),
     ("split", "fractions"): (list, "an array"),
     ("split", "seed"): (int, "an integer"),
+    (None, "standardize"): (bool, "true or false"),
     ("evaluation", "bootstrap_replicates"): (int, "an integer"),
-    ("evaluation", "alpha"): ((int, float), "a number"),
+    ("evaluation", "alpha"): (_NUMBER, "a number"),
     ("evaluation", "seed"): (int, "an integer"),
+    (None, "out_dir"): (str, "a string"),
 }
+
+
+def _is_json_type(value, kinds) -> bool:
+    """`isinstance`, except that JSON true and false are not numbers."""
+    return isinstance(value, kinds) and (kinds is bool or not isinstance(value, bool))
 
 
 def load_config(path, seed_override=None, out_dir_override=None) -> dict:
@@ -198,6 +214,15 @@ def load_config(path, seed_override=None, out_dir_override=None) -> dict:
             f"unsupported schema_version {user.get('schema_version')!r}"
         )
     cfg = _merge(copy.deepcopy(TRAIN_DEFAULTS), user)
+    # before the overrides, which write into `dataset.simulate`
+    for (section, key), (kinds, kind_name) in PLAIN_VALUE_TYPES.items():
+        value = (cfg if section is None else cfg[section])[key]
+        if not _is_json_type(value, kinds):
+            where = "config" if section is None else f"{section} config"
+            raise UsageError(f"bad {where}: {key} must be {kind_name}, got {value!r}")
+    fractions = cfg["split"]["fractions"]
+    if not all(_is_json_type(f, _NUMBER) for f in fractions):
+        raise UsageError(f"bad split config: fractions must be numbers, got {fractions!r}")
     if seed_override is not None:
         for section in SEEDED_SECTIONS:
             cfg[section]["seed"] = seed_override
@@ -205,12 +230,6 @@ def load_config(path, seed_override=None, out_dir_override=None) -> dict:
             cfg["dataset"]["simulate"]["seed"] = seed_override
     if out_dir_override is not None:
         cfg["out_dir"] = out_dir_override
-    for (section, key), (kinds, kind_name) in PLAIN_VALUE_TYPES.items():
-        value = cfg[section][key]
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise UsageError(
-                f"bad {section} config: {key} must be {kind_name}, got {value!r}"
-            )
     return cfg
 
 

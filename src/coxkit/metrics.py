@@ -2,7 +2,10 @@
 bootstrap confidence intervals, Kaplan-Meier curves with Greenwood bands,
 the two-group log-rank test, median survival, and centered risk MSE.
 
-All functions are pure and operate on plain arrays.
+All functions are pure and operate on plain arrays. `kaplan_meier` and
+`log_rank` import their one scipy.special function at their first call, so
+importing this module, and every command that draws no band and tests no
+groups, never loads scipy.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from coxkit.data import write_columns
 
@@ -174,6 +176,8 @@ def kaplan_meier(
     gives plain linear bands); both are clipped to [0, 1]. Where the estimate
     hits zero the band collapses to zero.
     """
+    from scipy.special import ndtri  # what scipy.stats.norm.ppf calls
+
     shape_error = "times and events must be equal-length non-empty arrays"
     times, events = _validate_survival(times, events, shape_error)
     if times.size == 0:
@@ -191,7 +195,7 @@ def kaplan_meier(
     with np.errstate(divide="ignore", invalid="ignore"):
         greenwood_terms = deaths / (at_risk * (at_risk - deaths))
         cum_var_log = np.cumsum(greenwood_terms)
-        z = sps.norm.ppf(1.0 - alpha / 2.0)
+        z = ndtri(1.0 - alpha / 2.0)
         se_log = np.sqrt(cum_var_log)
         if log_transform:
             lower = survival * np.exp(-z * se_log)
@@ -228,6 +232,8 @@ def log_rank(times_a, events_a, times_b, events_b) -> LogRankResult:
     their hypergeometric expectation given the pooled risk set; the statistic
     is (sum of O-E)^2 over the summed hypergeometric variance.
     """
+    from scipy.special import chdtrc  # what scipy.stats.chi2.sf calls
+
     shape_error = "each group's times and events must be equal-length 1-d arrays"
     ta, ea = _validate_survival(times_a, events_a, shape_error)
     tb, eb = _validate_survival(times_b, events_b, shape_error)
@@ -265,9 +271,7 @@ def log_rank(times_a, events_a, times_b, events_b) -> LogRankResult:
     if total_variance == 0.0:
         return LogRankResult(statistic=0.0, p_value=1.0)
     statistic = observed_minus_expected**2 / total_variance
-    return LogRankResult(
-        statistic=statistic, p_value=float(sps.chi2.sf(statistic, df=1))
-    )
+    return LogRankResult(statistic=statistic, p_value=float(chdtrc(1, statistic)))
 
 
 def risk_mse(predicted_risks, true_risks) -> float:

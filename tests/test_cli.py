@@ -1,7 +1,11 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -325,20 +329,31 @@ class TestTrainCommand:
         assert run(["train", "--config", str(config)]) == 2
 
     @pytest.mark.parametrize(
-        "override, message",
+        "override, flags, message",
         [
-            ({"split": {"fractions": 5}},
+            ({"split": {"fractions": 5}}, [],
              "bad split config: fractions must be an array, got 5"),
-            ({"evaluation": {"bootstrap_replicates": "x"}},
+            ({"evaluation": {"bootstrap_replicates": "x"}}, [],
              "bad evaluation config: bootstrap_replicates must be an integer, got 'x'"),
-            ({"split": 5}, "bad config: 'split' must be a JSON object"),
+            ({"split": 5}, [], "bad config: 'split' must be a JSON object"),
+            ({"dataset": {"simulate": 5}}, ["--seed", "3"],
+             "bad dataset config: simulate must be a JSON object or null, got 5"),
+            ({"dataset": {"csv": 5}}, [],  # open(5) would read file descriptor 5
+             "bad dataset config: csv must be a string or null, got 5"),
+            ({"split": {"fractions": [0.5, None, 0.5]}}, [],
+             "bad split config: fractions must be numbers, got [0.5, None, 0.5]"),
+            ({"out_dir": 5}, [], "bad config: out_dir must be a string, got 5"),
+            ({"standardize": "no"}, [],
+             "bad config: standardize must be true or false, got 'no'"),
         ],
-        ids=["fractions", "bootstrap-replicates", "split-section"],
+        ids=["fractions", "bootstrap-replicates", "split-section", "simulate-seeded",
+             "csv-number", "fraction-null", "out-dir", "standardize"],
     )
-    def test_wrong_json_type_exit_2(self, tmp_path, capsys, override, message):
+    def test_wrong_json_type_exit_2(self, tmp_path, capsys, override, flags, message):
         config = make_train_config(tmp_path, **override)
-        assert run(["train", "--config", str(config)]) == 2
+        assert run(["train", "--config", str(config), *flags]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -451,6 +466,59 @@ class TestRecommendCommand:
         write_csv(sim.dataset, plain)
         assert run(["recommend", "--model", str(model), "--data", str(plain),
                     "--out-dir", str(tmp_path / "x")]) == 2
+
+
+# Runs in a fresh interpreter: pytest's own process has scipy loaded already.
+_COLD_START_SCRIPT = """
+import json, os, sys
+from pathlib import Path
+from coxkit import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+os.chdir(sys.argv[1])
+Path("config.json").write_text(json.dumps(
+    {"dataset": {"csv": "dataset.csv"}, "out_dir": "train",
+     "network": {"hidden_layers": 1, "nodes_per_layer": 4},
+     "optimizer": {"epochs": 2}, "evaluation": {"bootstrap_replicates": 5}}))
+commands = [
+    ["simulate", "--risk", "linear", "--n", "120", "--d", "3", "--with-treatment"],
+    ["train", "--config", "config.json"],
+    ["search", "--data", "dataset.csv", "--trials", "1", "--k", "2",
+     "--epochs", "2", "--out-dir", "search"],
+    ["km", "--data", "dataset.csv", "--group-by", "treatment", "--out-dir", "km"],
+    ["recommend", "--model", "train/model.json", "--data", "dataset.csv",
+     "--out-dir", "recommend"],
+]
+loaded = {}
+for argv in commands:
+    assert cli.main(argv) == 0, argv
+    loaded[argv[0]] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_only_km_and_recommend_load_scipy(tmp_path):
+    """simulate, train and search never import scipy; km and recommend load
+    scipy.special for the band quantile and the log-rank p-value, never
+    scipy.stats."""
+    import coxkit
+
+    src = str(Path(coxkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_START_SCRIPT, str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    for command in ("simulate", "train", "search"):
+        assert loaded[command] == [], command
+    for command in ("km", "recommend"):
+        assert "scipy.special" in loaded[command], command
+        assert not any(m.startswith("scipy.stats") for m in loaded[command]), command
 
 
 class TestKmCommand:

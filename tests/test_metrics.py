@@ -298,7 +298,7 @@ class TestLogRank:
         # A dies at 1, 2; B dies at 10, 20; O-E = 7/6, V = 17/36
         res = log_rank([1, 2], [1, 1], [10, 20], [1, 1])
         assert res.statistic == pytest.approx(49 / 17, abs=1e-9)
-        assert res.p_value == pytest.approx(sps.chi2.sf(49 / 17, 1), abs=1e-12)
+        assert res.p_value == sps.chi2.sf(res.statistic, 1)
 
     def test_symmetric_in_group_order(self):
         rng = np.random.default_rng(46)
@@ -354,7 +354,53 @@ def _km_and_log_rank(times, events, groups):
     return km, log_rank(times[a], events[a], times[b], events[b])
 
 
+def _bands_from_quantile(km, z, log_transform):
+    """Greenwood bands of `km` for the normal quantile `z`, by the steps of
+    `kaplan_meier`."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        se_log = np.sqrt(np.cumsum(km.deaths / (km.at_risk * (km.at_risk - km.deaths))))
+        if log_transform:
+            lower = km.survival * np.exp(-z * se_log)
+            upper = km.survival * np.exp(z * se_log)
+        else:
+            lower = km.survival - z * (km.survival * se_log)
+            upper = km.survival + z * (km.survival * se_log)
+    dead_end = km.survival <= 0.0
+    return (np.where(dead_end, 0.0, np.clip(lower, 0.0, 1.0)),
+            np.where(dead_end, 0.0, np.clip(upper, 0.0, 1.0)))
+
+
+# Two-group instances with up to 200 patients: larger statistics and smaller
+# p-values than `_tied_groups` reaches.
+_wide_groups = st.lists(
+    st.tuples(st.integers(1, 60), st.integers(0, 1), st.integers(0, 1)),
+    min_size=1,
+    max_size=200,
+)
+
+
 class TestKaplanMeierLogRankProperties:
+    @settings(deadline=None)
+    @given(_tied_groups, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           st.booleans())
+    def test_bands_equal_scipy_stats_quantile(self, rows, alpha, log_transform):
+        times, events, _ = (np.array(col) for col in zip(*rows))
+        km = kaplan_meier(times.astype(float), events, alpha, log_transform)
+        lower, upper = _bands_from_quantile(
+            km, sps.norm.ppf(1.0 - alpha / 2.0), log_transform
+        )
+        assert np.array_equal(km.ci_lower, lower, equal_nan=True)
+        assert np.array_equal(km.ci_upper, upper, equal_nan=True)
+
+    @settings(deadline=None)
+    @given(_wide_groups)
+    def test_p_value_equals_scipy_stats_chi2(self, rows):
+        times, events, groups = (np.array(col) for col in zip(*rows))
+        _, lr = _km_and_log_rank(times.astype(float), events, groups)
+        if lr is None:
+            return
+        assert lr.p_value == float(sps.chi2.sf(lr.statistic, 1))
+
     @settings(deadline=None)
     @given(_tied_groups, st.randoms(use_true_random=False))
     def test_permutation_bit_identical(self, rows, random):
