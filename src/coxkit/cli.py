@@ -11,12 +11,13 @@ Exit codes: 0 success, 1 runtime failure (e.g. training divergence),
 from __future__ import annotations
 
 import argparse
-import copy
 import hashlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -77,50 +78,21 @@ def _provenance(command: str, effective_config: dict, seeds: dict) -> dict:
     }
 
 
-def _build(cls, cfg, what: str):
-    """`cls(**cfg)`, with a bad key or value reported as a usage error."""
-    try:
-        return cls(**cfg)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad {what}: {exc}") from None
-
-
-def _merge(defaults: dict, override: dict, path: str = "") -> dict:
-    out = dict(defaults)
-    for key, value in override.items():
-        if key not in defaults:
-            raise UsageError(f"unknown config key {path + key!r}")
-        if isinstance(defaults[key], dict):
-            if not isinstance(value, dict):
-                raise UsageError(f"bad config: {path + key!r} must be a JSON object")
-            out[key] = _merge(defaults[key], value, path + key + ".")
-        else:
-            out[key] = value
-    return out
-
-
 # ---------------------------------------------------------------- simulate
 
 
-def _spec_from_args(args) -> SimulationSpec:
-    try:
-        return SimulationSpec(
-            n=args.n,
-            d=args.d,
-            risk_kind=args.risk,
-            lambda_max=args.lambda_max,
-            r=args.r,
-            mean_u=args.mean_u,
-            observed_fraction=args.observed_fraction,
-            with_treatment=args.with_treatment,
-            seed=0 if args.seed is None else args.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def cmd_simulate(args) -> int:
-    spec = _spec_from_args(args)
+    spec = SimulationSpec(
+        n=args.n,
+        d=args.d,
+        risk_kind=args.risk,
+        lambda_max=args.lambda_max,
+        r=args.r,
+        mean_u=args.mean_u,
+        observed_fraction=args.observed_fraction,
+        with_treatment=args.with_treatment,
+        seed=0 if args.seed is None else args.seed,
+    )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sim = generate(spec)
@@ -154,75 +126,132 @@ def cmd_simulate(args) -> int:
 # ------------------------------------------------------------------- train
 
 
-TRAIN_DEFAULTS = {
-    "schema_version": SCHEMA_VERSION,
-    "dataset": {
-        "csv": None,
-        "time_col": "time",
-        "event_col": "event",
-        "treatment_col": "treatment",
-        "risks_csv": None,
-        "simulate": None,
-    },
-    "split": {"fractions": [2 / 3, 1 / 6, 1 / 6], "seed": 0},
-    "standardize": True,
-    "model": "deep_cox",
-    "network": asdict(riskmlp.NetworkConfig()),
-    "optimizer": asdict(optim.OptimizerConfig()),
-    "evaluation": {"bootstrap_replicates": 200, "alpha": 0.05, "seed": 0},
-    "out_dir": ".",
-}
+@dataclass(frozen=True)
+class DatasetConfig:
+    """Where `train` gets its patients: a CSV file or a simulation."""
+
+    csv: str | None = None
+    time_col: str = "time"
+    event_col: str = "event"
+    treatment_col: str | None = "treatment"
+    risks_csv: str | None = None
+    simulate: SimulationSpec | None = None
+
+    def __post_init__(self):
+        if (self.csv is None) == (self.simulate is None):
+            raise ValueError("csv or simulate must be set, and not both")
+        if self.risks_csv is not None and self.simulate is not None:
+            raise ValueError("risks_csv must be null when simulate is set")
+
+
+@dataclass(frozen=True)
+class SplitConfig:
+    """Train/validation/test fractions and the seed of their shuffle."""
+
+    fractions: tuple[float, float, float] = (2 / 3, 1 / 6, 1 / 6)
+    seed: int = 0
+
+
+@dataclass(frozen=True)
+class EvaluationConfig:
+    """The bootstrap behind the test C-index's confidence interval."""
+
+    bootstrap_replicates: int = 200
+    alpha: float = 0.05
+    seed: int = 0
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """A `train --config` file; every section but `dataset` has defaults."""
+
+    dataset: DatasetConfig
+    schema_version: int = SCHEMA_VERSION
+    split: SplitConfig = SplitConfig()
+    standardize: bool = True
+    model: str = "deep_cox"
+    network: riskmlp.NetworkConfig = riskmlp.NetworkConfig()
+    optimizer: optim.OptimizerConfig = optim.OptimizerConfig()
+    evaluation: EvaluationConfig = EvaluationConfig()
+    out_dir: str = "."
+
+    def __post_init__(self):
+        if self.schema_version != SCHEMA_VERSION:
+            raise ValueError(f"schema_version must be {SCHEMA_VERSION}")
+        if self.model not in ("deep_cox", "linear_cph"):
+            raise ValueError(f"model must be deep_cox or linear_cph, got {self.model!r}")
+
+
 # the config sections whose seed `--seed` overrides and provenance records
 SEEDED_SECTIONS = ("split", "optimizer", "evaluation")
-# config values no dataclass checks, by (section or None for the top level,
-# key), with the JSON types they must have
-_NUMBER = (int, float)
-_TEXT_OR_NULL = ((str, type(None)), "a string or null")
-PLAIN_VALUE_TYPES = {
-    ("dataset", "csv"): _TEXT_OR_NULL,
-    ("dataset", "time_col"): (str, "a string"),
-    ("dataset", "event_col"): (str, "a string"),
-    ("dataset", "treatment_col"): _TEXT_OR_NULL,
-    ("dataset", "risks_csv"): _TEXT_OR_NULL,
-    ("dataset", "simulate"): ((dict, type(None)), "a JSON object or null"),
-    ("split", "fractions"): (list, "an array"),
-    ("split", "seed"): (int, "an integer"),
-    (None, "standardize"): (bool, "true or false"),
-    ("evaluation", "bootstrap_replicates"): (int, "an integer"),
-    ("evaluation", "alpha"): (_NUMBER, "a number"),
-    ("evaluation", "seed"): (int, "an integer"),
-    (None, "out_dir"): (str, "a string"),
-}
+_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
-def _is_json_type(value, kinds) -> bool:
-    """`isinstance`, except that JSON true and false are not numbers."""
-    return isinstance(value, kinds) and (kinds is bool or not isinstance(value, bool))
+def _from_json(cls, value, path: str):
+    """`value`, as parsed from JSON, checked against the type hint `cls`.
+
+    An int passes for a float (unconverted, so a config hashes as written), a
+    bool never for a number, null only for `X | None`, an object only for a
+    dataclass and an array of its length only for a tuple. Errors start with
+    `path`, the dotted key; a `__post_init__` message names its field first.
+    """
+    optional = get_origin(cls) is UnionType  # `X | None`, the only union used
+    if optional and value is None:
+        return None
+    cls = get_args(cls)[0] if optional else cls
+    args = get_args(cls)
+    if is_dataclass(cls):
+        kind, ok = "a JSON object", isinstance(value, dict)
+    elif get_origin(cls) is tuple:  # of one type: `tuple[X, X]` or `tuple[X, ...]`
+        size = None if args[-1] is Ellipsis else len(args)
+        kind = f"an array of {size} entries" if size else "an array"
+        # a tuple too: `train` checks the effective config, which `asdict` made
+        ok = isinstance(value, (list, tuple)) and size in (None, len(value))
+    else:
+        kind = _KINDS[cls]
+        ok = isinstance(value, (int, float) if cls is float else cls)
+        ok = ok and (cls is bool or not isinstance(value, bool))
+    if not ok:
+        where = f"{path} " if path else ""
+        raise UsageError(f"{where}must be {kind}{' or null' * optional}, got {value!r}")
+    if get_origin(cls) is tuple:
+        return tuple(_from_json(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if not is_dataclass(cls):
+        return value
+
+    prefix = f"{path}." if path else ""
+    hints = get_type_hints(cls)
+    for key in value:
+        if key not in hints:
+            raise UsageError(f"{prefix}{key} is not a known key")
+    for f in fields(cls):
+        if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
+            raise UsageError(f"{prefix}{f.name} is required")
+    kwargs = {key: _from_json(hints[key], v, prefix + key) for key, v in value.items()}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise UsageError(prefix + str(exc)) from None
+
+
+def _read_json(path, cls, what: str):
+    """The JSON file at `path` and the `cls` built from it; faults exit 2."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read {what}: {exc}") from None
+    try:
+        return raw, _from_json(cls, raw, "")
+    except UsageError as exc:
+        raise UsageError(f"bad {what}: {exc}") from None
 
 
 def load_config(path, seed_override=None, out_dir_override=None) -> dict:
-    try:
-        user = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise UsageError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(user, dict):
-        raise UsageError("config must be a JSON object")
-    if user.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise UsageError(
-            f"unsupported schema_version {user.get('schema_version')!r}"
-        )
-    cfg = _merge(copy.deepcopy(TRAIN_DEFAULTS), user)
-    # before the overrides, which write into `dataset.simulate`
-    for (section, key), (kinds, kind_name) in PLAIN_VALUE_TYPES.items():
-        value = (cfg if section is None else cfg[section])[key]
-        if not _is_json_type(value, kinds):
-            where = "config" if section is None else f"{section} config"
-            raise UsageError(f"bad {where}: {key} must be {kind_name}, got {value!r}")
-    fractions = cfg["split"]["fractions"]
-    if not all(_is_json_type(f, _NUMBER) for f in fractions):
-        raise UsageError(f"bad split config: fractions must be numbers, got {fractions!r}")
+    """The effective train config: what `train` runs and its provenance hashes."""
+    user, config = _read_json(path, TrainConfig, "config")
+    cfg = asdict(config)
+    # as written, so that a default SimulationSpec gains does not change the hash
+    cfg["dataset"]["simulate"] = user["dataset"].get("simulate")
     if seed_override is not None:
         for section in SEEDED_SECTIONS:
             cfg[section]["seed"] = seed_override
@@ -233,24 +262,15 @@ def load_config(path, seed_override=None, out_dir_override=None) -> dict:
     return cfg
 
 
-def _load_source(ds_cfg: dict):
+def _load_source(dataset: DatasetConfig):
     """Dataset plus optional aligned ground-truth risks."""
-    has_csv = ds_cfg.get("csv") is not None
-    has_sim = ds_cfg.get("simulate") is not None
-    if has_csv == has_sim:
-        raise UsageError("dataset must specify exactly one of 'csv' or 'simulate'")
-    if has_sim:
-        sim = generate(_build(SimulationSpec, ds_cfg["simulate"], "simulation spec"))
+    if dataset.simulate is not None:
+        sim = generate(dataset.simulate)
         return sim.dataset, sim.true_risks
-    ds = load_csv(
-        ds_cfg["csv"],
-        time_col=ds_cfg["time_col"],
-        event_col=ds_cfg["event_col"],
-        treatment_col=ds_cfg["treatment_col"],
-    )
+    ds = load_csv(dataset.csv, dataset.time_col, dataset.event_col, dataset.treatment_col)
     risks = None
-    if ds_cfg.get("risks_csv") is not None:
-        table, _ = read_columns(ds_cfg["risks_csv"], [("true_risk", "value")])
+    if dataset.risks_csv is not None:
+        table, _ = read_columns(dataset.risks_csv, [("true_risk", "value")])
         risks = table[:, 0]
         if risks.shape[0] != ds.n:
             raise UsageError(
@@ -277,20 +297,16 @@ def _model_inputs(ds, params: StandardizationParams | None):
     return append_treatment_feature(ds)
 
 
-def _prepare_splits(cfg: dict):
+def _prepare_splits(config: TrainConfig):
     """Load, split, standardize, and append the treatment feature."""
-    ds, true_risks = _load_source(cfg["dataset"])
-    fractions = tuple(cfg["split"]["fractions"])
-    try:
-        idx = split_indices(ds.n, fractions, cfg["split"]["seed"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    ds, true_risks = _load_source(config.dataset)
+    idx = split_indices(ds.n, config.split.fractions, config.split.seed)
     parts = [ds.subset(i) for i in idx]
     risk_parts = [None, None, None]
     if true_risks is not None:
         risk_parts = [true_risks[i] for i in idx]
 
-    params = standardize_fit(parts[0]) if cfg["standardize"] else None
+    params = standardize_fit(parts[0]) if config.standardize else None
     parts, indices = zip(*(_model_inputs(p, params) for p in parts))
     standardization = None
     if params is not None:
@@ -303,28 +319,23 @@ def _prepare_splits(cfg: dict):
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.seed, args.out_dir)
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    config = _from_json(TrainConfig, cfg, "")
     seeds = {section: cfg[section]["seed"] for section in SEEDED_SECTIONS}
     prov = _provenance("train", cfg, seeds)
 
     (train_ds, val_ds, test_ds), risk_parts, standardization, treatment_index = (
-        _prepare_splits(cfg)
+        _prepare_splits(config)
     )
 
     history = None
-    if cfg["model"] == "linear_cph":
+    if config.model == "linear_cph":
         model = coxlinear.fit_cph(train_ds)
         test_risks = coxlinear.predict_linear_risk(model, test_ds.covariates)
         model_payload = {"model_type": "linear_cph", **coxlinear.to_dict(model)}
-    elif cfg["model"] == "deep_cox":
-        net_config = _build(riskmlp.NetworkConfig, cfg["network"], "network config")
-        opt_config = _build(optim.OptimizerConfig, cfg["optimizer"], "optimizer config")
-        model, history = optim.train(train_ds, net_config, opt_config, val_ds)
+    else:
+        model, history = optim.train(train_ds, config.network, config.optimizer, val_ds)
         test_risks = riskmlp.forward(model, test_ds.covariates, mode="infer")
         model_payload = {"model_type": "deep_cox", **riskmlp.to_dict(model)}
-    else:
-        raise UsageError(f"unknown model {cfg['model']!r}")
 
     model_payload.update(
         {
@@ -334,6 +345,8 @@ def cmd_train(args) -> int:
             "provenance": prov,
         }
     )
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "model.json", model_payload)
 
     if history is not None:
@@ -350,27 +363,26 @@ def cmd_train(args) -> int:
             out_dir / "history.csv", header, columns, comment=canonical_json(prov)
         )
 
-    evaluation = cfg["evaluation"]
     c_index = metrics.concordance_index(test_ds.times, test_ds.events, test_risks)
     interval = metrics.bootstrap_ci(
         test_ds.times,
         test_ds.events,
         test_risks,
-        n_replicates=evaluation["bootstrap_replicates"],
-        alpha=evaluation["alpha"],
-        seed=evaluation["seed"],
+        n_replicates=config.evaluation.bootstrap_replicates,
+        alpha=config.evaluation.alpha,
+        seed=config.evaluation.seed,
     )
     report = {
-        "model": cfg["model"],
+        "model": config.model,
         "n_train": train_ds.n,
         "n_val": val_ds.n,
         "n_test": test_ds.n,
         "c_index": c_index,
         "ci_lower": interval.lower,
         "ci_upper": interval.upper,
-        "bootstrap_replicates": evaluation["bootstrap_replicates"],
+        "bootstrap_replicates": config.evaluation.bootstrap_replicates,
         "bootstrap_redraws": interval.redraws,
-        "alpha": evaluation["alpha"],
+        "alpha": config.evaluation.alpha,
         "risk_mse": None,
         "provenance": prov,
     }
@@ -378,7 +390,7 @@ def cmd_train(args) -> int:
         report["risk_mse"] = metrics.risk_mse(test_risks, risk_parts[2])
     write_json(out_dir / "metrics.json", report)
     print(
-        f"train[{cfg['model']}]: test C-index {c_index:.4f} "
+        f"train[{config.model}]: test C-index {c_index:.4f} "
         f"({interval.lower:.4f}, {interval.upper:.4f})"
         + (f", risk MSE {report['risk_mse']:.4f}" if report["risk_mse"] is not None else "")
     )
@@ -388,22 +400,13 @@ def cmd_train(args) -> int:
 # ------------------------------------------------------------------ search
 
 
-def _space_from_file(path) -> optim.SearchSpace:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read search space: {exc}") from None
-    if not isinstance(raw, dict) or not all(isinstance(v, list) for v in raw.values()):
-        raise UsageError("bad search space: must be a JSON object of arrays")
-    kwargs = {key: tuple(value) for key, value in raw.items()}
-    return _build(optim.SearchSpace, kwargs, "search space")
-
-
 def cmd_search(args) -> int:
     seed = 0 if args.seed is None else args.seed
     ds = _load_data(args)
     ds, _ = _model_inputs(ds, standardize_fit(ds) if args.standardize else None)
-    space = optim.SearchSpace() if args.space is None else _space_from_file(args.space)
+    space = optim.SearchSpace()
+    if args.space is not None:
+        _, space = _read_json(args.space, optim.SearchSpace, "search space")
 
     effective = {
         "data": str(args.data),

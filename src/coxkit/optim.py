@@ -5,13 +5,14 @@ and random hyperparameter search scored by cross-validated C-index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from coxkit.data import SurvivalDataset, sort_view
 from coxkit.metrics import concordance_index
 from coxkit.riskmlp import (
+    ACTIVATIONS,
     NetworkConfig,
     RiskNetwork,
     backward,
@@ -87,20 +88,13 @@ class SearchSpace:
     momentum: tuple[float, float] = (0.8, 0.95)
 
     def __post_init__(self):
-        for name in (
-            "hidden_layers",
-            "nodes_per_layer",
-            "dropout",
-            "l2",
-            "learning_rate",
-            "lr_decay",
-            "momentum",
-        ):
+        ranges = [f.name for f in fields(self) if f.name != "activations"]
+        for name in ranges:
             low, high = getattr(self, name)
             if low > high:
                 raise ValueError(f"{name} range is empty: {low} > {high}")
-        if not self.activations:
-            raise ValueError("activations must be non-empty")
+        if not self.activations or not set(self.activations) <= set(ACTIVATIONS):
+            raise ValueError(f"activations must be a non-empty subset of {ACTIVATIONS}")
         if self.learning_rate[0] <= 0:
             raise ValueError("learning_rate range must be positive")
 

@@ -41,7 +41,7 @@ class SimulationSpec:
         if self.d < 2:
             raise ValueError("d must be >= 2 (risk functions use x0 and x1)")
         if self.risk_kind not in ("linear", "gaussian"):
-            raise ValueError(f"unknown risk_kind {self.risk_kind!r}")
+            raise ValueError(f"risk_kind {self.risk_kind!r} is not linear or gaussian")
         if self.lambda_max <= 0 or self.r <= 0:
             raise ValueError("lambda_max and r must be positive")
         if self.mean_u <= 0:

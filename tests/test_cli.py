@@ -2,15 +2,19 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from coxkit import optim
+from coxkit import cli, optim
 from coxkit.cli import (
+    UsageError,
     build_parser,
     canonical_json,
     config_hash,
@@ -53,6 +57,60 @@ def make_train_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return path
+
+
+# JSON values by kind, and the kinds each key of a train config accepts
+JSON_VALUES = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(-(10**6), 10**6),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.text(max_size=5),
+    "array": st.lists(st.integers(), max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+INT, NUMBER, TEXT, BOOL, OBJECT = {"int"}, {"int", "float"}, {"string"}, {"bool"}, {"object"}
+CONFIG_KINDS = {
+    "schema_version": INT,
+    "dataset": OBJECT,
+    "dataset.csv": TEXT | {"null"},
+    "dataset.time_col": TEXT,
+    "dataset.event_col": TEXT,
+    "dataset.treatment_col": TEXT | {"null"},
+    "dataset.risks_csv": TEXT | {"null"},
+    "dataset.simulate": OBJECT | {"null"},
+    **{f"dataset.simulate.{k}": INT for k in ("n", "d", "seed")},
+    "dataset.simulate.risk_kind": TEXT,
+    **{f"dataset.simulate.{k}": NUMBER
+       for k in ("lambda_max", "r", "mean_u", "observed_fraction")},
+    "dataset.simulate.with_treatment": BOOL,
+    "split": OBJECT,
+    "split.fractions": {"array"},
+    **{f"split.fractions[{i}]": NUMBER for i in range(3)},
+    "split.seed": INT,
+    "standardize": BOOL,
+    "model": TEXT,
+    "network": OBJECT,
+    "network.hidden_layers": INT,
+    "network.nodes_per_layer": INT,
+    "network.activation": TEXT,
+    "network.dropout_rate": NUMBER,
+    "network.l2_coefficient": NUMBER,
+    "optimizer": OBJECT,
+    "optimizer.kind": TEXT,
+    **{f"optimizer.{k}": NUMBER
+       for k in ("learning_rate", "lr_decay_rate", "momentum", "adam_beta1",
+                 "adam_beta2", "adam_epsilon")},
+    "optimizer.clip_norm": NUMBER | {"null"},
+    "optimizer.epochs": INT,
+    "optimizer.batch_size": INT | {"null"},
+    "optimizer.seed": INT,
+    "evaluation": OBJECT,
+    "evaluation.bootstrap_replicates": INT,
+    "evaluation.alpha": NUMBER,
+    "evaluation.seed": INT,
+    "out_dir": TEXT,
+}
 
 
 # Every subcommand's options as {flag: (default, required)}. km and recommend
@@ -332,16 +390,16 @@ class TestTrainCommand:
         "override, flags, message",
         [
             ({"split": {"fractions": 5}}, [],
-             "bad split config: fractions must be an array, got 5"),
+             "bad config: split.fractions must be an array of 3 entries, got 5"),
             ({"evaluation": {"bootstrap_replicates": "x"}}, [],
-             "bad evaluation config: bootstrap_replicates must be an integer, got 'x'"),
-            ({"split": 5}, [], "bad config: 'split' must be a JSON object"),
+             "bad config: evaluation.bootstrap_replicates must be an integer, got 'x'"),
+            ({"split": 5}, [], "bad config: split must be a JSON object, got 5"),
             ({"dataset": {"simulate": 5}}, ["--seed", "3"],
-             "bad dataset config: simulate must be a JSON object or null, got 5"),
+             "bad config: dataset.simulate must be a JSON object or null, got 5"),
             ({"dataset": {"csv": 5}}, [],  # open(5) would read file descriptor 5
-             "bad dataset config: csv must be a string or null, got 5"),
+             "bad config: dataset.csv must be a string or null, got 5"),
             ({"split": {"fractions": [0.5, None, 0.5]}}, [],
-             "bad split config: fractions must be numbers, got [0.5, None, 0.5]"),
+             "bad config: split.fractions[1] must be a number, got None"),
             ({"out_dir": 5}, [], "bad config: out_dir must be a string, got 5"),
             ({"standardize": "no"}, [],
              "bad config: standardize must be true or false, got 'no'"),
@@ -354,6 +412,63 @@ class TestTrainCommand:
         assert run(["train", "--config", str(config), *flags]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ({"optimizer": {"epochs": 2.5}}, "optimizer.epochs"),
+            ({"optimizer": {"batch_size": 64.5}}, "optimizer.batch_size"),
+            ({"dataset": {"simulate": {"n": 120.5}}}, "dataset.simulate.n"),
+            ({"optimizer": {"epochs": True}}, "optimizer.epochs"),
+            ({"network": {"hidden_layers": True}}, "network.hidden_layers"),
+            ({"optimizer": {"clip_norm": True}}, "optimizer.clip_norm"),
+            ({"dataset": {"simulate": {"n": 240, "d": 4, "with_treatment": 1}}},
+             "dataset.simulate.with_treatment"),
+            ({"schema_version": True}, "schema_version"),
+            ({"dataset": {"simulate": {"n": 240, "d": 4}, "risks_csv": "nope.csv"}},
+             "dataset.risks_csv"),
+            ({"model": "linear_cph", "network": {"hidden_layers": 0}},
+             "network.hidden_layers"),
+            ({"model": "bogus"}, "model"),
+            ({"schema_version": 2}, "schema_version"),
+        ],
+        ids=["epochs-float", "batch-size-float", "simulate-n-float", "epochs-bool",
+             "hidden-layers-bool", "clip-norm-bool", "with-treatment-int",
+             "schema-version-bool", "risks-csv-with-simulate", "linear-cph-network",
+             "unknown-model", "schema-version-2"],
+    )
+    def test_config_fault_exit_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, override, key
+    ):
+        def no_data(*args):
+            raise AssertionError("data loaded for a bad config")
+
+        monkeypatch.setattr(cli, "_load_source", no_data)
+        config = make_train_config(tmp_path, **override)
+        assert run(["train", "--config", str(config)]) == 2
+        assert f"bad config: {key} " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_wrong_json_kind_at_any_leaf_is_usage_error(self, tmp_path, data):
+        key, accepted = data.draw(st.sampled_from(sorted(CONFIG_KINDS.items())))
+        kind = data.draw(st.sampled_from(sorted(JSON_VALUES.keys() - accepted)))
+        value = data.draw(JSON_VALUES[kind])
+        path = make_train_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        *parents, last = [int(p) if p.isdigit() else p for p in re.findall(r"\w+", key)]
+        node = cfg
+        for part in parents:
+            node = node[part]
+        node[last] = value
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        with pytest.raises(UsageError, match=re.escape(f"bad config: {key} ")):
+            load_config(path)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -392,8 +507,25 @@ class TestSearchCommand:
         best = json.loads((out / "best_config.json").read_text())
         assert "network" in best and "optimizer" in best
 
-    @pytest.mark.parametrize("space", [[1, 2], {"dropout": 5}])
-    def test_wrong_json_type_space_exit_2(self, tmp_path, capsys, space):
+    @pytest.mark.parametrize(
+        "space, message",
+        [
+            ([1, 2], "bad search space: must be a JSON object, got [1, 2]"),
+            ({"dropout": 5},
+             "bad search space: dropout must be an array of 2 entries, got 5"),
+            ({"hidden_layers": [1.5, 3]},
+             "bad search space: hidden_layers[0] must be an integer, got 1.5"),
+            ({"hidden_layers": [True, 2]},
+             "bad search space: hidden_layers[0] must be an integer, got True"),
+            ({"hidden_layers": [4]},
+             "bad search space: hidden_layers must be an array of 2 entries, got [4]"),
+            ({"activations": ["tanh"]},
+             "bad search space: activations must be a non-empty subset of ('relu', 'selu')"),
+        ],
+        ids=["space0", "space1", "float-bound", "bool-bound", "one-bound",
+             "unknown-activation"],
+    )
+    def test_wrong_json_type_space_exit_2(self, tmp_path, capsys, space, message):
         run(["simulate", "--risk", "linear", "--n", "60", "--d", "3",
              "--out-dir", str(tmp_path)])
         path = tmp_path / "space.json"
@@ -401,7 +533,8 @@ class TestSearchCommand:
         code = run(["search", "--data", str(tmp_path / "dataset.csv"),
                     "--space", str(path), "--out-dir", str(tmp_path / "search")])
         assert code == 2
-        assert "bad search space: must be a JSON object of arrays" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "search").exists()
 
     def test_rerun_identical(self, tmp_path):
         sim_dir = tmp_path / "sim"
