@@ -39,6 +39,8 @@ from coxkit.plots import render_km_svg
 from coxkit.simulate import SimulationSpec, generate
 
 SCHEMA_VERSION = 1
+# the module that writes and reads each `model_type` of a model file
+MODEL_KINDS = {"linear_cph": coxlinear, "deep_cox": riskmlp}
 
 
 class UsageError(ValueError):
@@ -160,6 +162,12 @@ class EvaluationConfig:
     alpha: float = 0.05
     seed: int = 0
 
+    def __post_init__(self):
+        if self.bootstrap_replicates < 2:
+            raise ValueError("bootstrap_replicates must be >= 2")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must lie in (0, 1)")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -178,7 +186,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.schema_version != SCHEMA_VERSION:
             raise ValueError(f"schema_version must be {SCHEMA_VERSION}")
-        if self.model not in ("deep_cox", "linear_cph"):
+        if self.model not in MODEL_KINDS:
             raise ValueError(f"model must be deep_cox or linear_cph, got {self.model!r}")
 
 
@@ -234,12 +242,22 @@ def _from_json(cls, value, path: str):
         raise UsageError(prefix + str(exc)) from None
 
 
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
+def _load_json(path, what: str):
+    """The JSON file at `path`; a missing file, bad syntax, NaN or Infinity exit 2."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text, parse_constant=_no_constant)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise UsageError(f"cannot read {what} {path}: {exc}") from None
+
+
 def _read_json(path, cls, what: str):
     """The JSON file at `path` and the `cls` built from it; faults exit 2."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read {what}: {exc}") from None
+    raw = _load_json(path, what)
     try:
         return raw, _from_json(cls, raw, "")
     except UsageError as exc:
@@ -330,21 +348,18 @@ def cmd_train(args) -> int:
     history = None
     if config.model == "linear_cph":
         model = coxlinear.fit_cph(train_ds)
-        test_risks = coxlinear.predict_linear_risk(model, test_ds.covariates)
-        model_payload = {"model_type": "linear_cph", **coxlinear.to_dict(model)}
     else:
         model, history = optim.train(train_ds, config.network, config.optimizer, val_ds)
-        test_risks = riskmlp.forward(model, test_ds.covariates, mode="infer")
-        model_payload = {"model_type": "deep_cox", **riskmlp.to_dict(model)}
+    test_risks = recommend.predict(model, test_ds.covariates)
 
-    model_payload.update(
-        {
-            "feature_names": list(test_ds.feature_names),
-            "treatment_index": treatment_index,
-            "standardization": standardization,
-            "provenance": prov,
-        }
-    )
+    model_payload = {
+        "model_type": config.model,
+        **MODEL_KINDS[config.model].to_dict(model),
+        "feature_names": list(test_ds.feature_names),
+        "treatment_index": treatment_index,
+        "standardization": standardization,
+        "provenance": prov,
+    }
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "model.json", model_payload)
@@ -420,7 +435,7 @@ def cmd_search(args) -> int:
     }
     prov = _provenance("search", effective, {"search": seed})
     try:
-        best_net, best_opt, trials = optim.random_search(
+        best_net, best_opt, trials, best_index = optim.random_search(
             space,
             ds,
             k=args.k,
@@ -444,7 +459,6 @@ def cmd_search(args) -> int:
         }
         for t in trials
     ]
-    best_index = max(trials, key=lambda t: (t["mean_cindex"], -t["trial"]))["trial"]
     write_json(
         out_dir / "search_trials.json",
         {"trials": log, "best_trial": best_index, "provenance": prov},
@@ -469,41 +483,37 @@ def cmd_search(args) -> int:
 # --------------------------------------------------------------- recommend
 
 
-def _model_from_payload(payload: dict):
-    kind = payload.get("model_type")
-    if kind == "linear_cph":
-        return coxlinear.from_dict(payload)
-    if kind == "deep_cox":
-        return riskmlp.from_dict(payload)
-    raise UsageError(f"unknown model_type {kind!r} in model file")
+def _read_model(path):
+    """The model of a `train` model file, its input names, standardization and
+    config hash; a missing or malformed file exits 2."""
+    payload = _load_json(path, "model")
+    try:
+        model = MODEL_KINDS[payload["model_type"]].from_dict(payload)
+        std = payload["standardization"]
+        params = None if std is None else StandardizationParams(std["means"], std["stddevs"])
+        names = tuple(payload["feature_names"])
+        return model, names, params, payload["provenance"]["config_hash"]
+    except (LookupError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad model file {path}: {type(exc).__name__}: {exc}") from None
 
 
 def cmd_recommend(args) -> int:
-    try:
-        payload = json.loads(Path(args.model).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read model: {exc}") from None
-    model = _model_from_payload(payload)
-    std = payload.get("standardization")
-    params = None
-    if std is not None:
-        params = StandardizationParams(std["means"], std["stddevs"])
+    model, feature_names, params, model_hash = _read_model(args.model)
     # no name holds the loaded data, so it is freed once standardized
     ds, treatment_index = _model_inputs(_load_data(args), params)
     if treatment_index is None:
         raise UsageError(f"{args.data}: no treatment column {args.treatment_col!r}")
-    stored_index = payload.get("treatment_index")
-    if stored_index is not None and stored_index != treatment_index:
+    if ds.feature_names != feature_names:
         raise UsageError(
-            f"model expects the treatment feature at column {stored_index}, "
-            f"data puts it at {treatment_index}"
+            f"{args.data}: model {args.model} takes inputs {list(feature_names)}, "
+            f"data gives {list(ds.feature_names)}"
         )
 
     report = recommend.evaluate_recommendations(ds, model, treatment_index)
     effective = {
         "model": str(args.model),
         "data": str(args.data),
-        "model_config_hash": payload.get("provenance", {}).get("config_hash"),
+        "model_config_hash": model_hash,
     }
     prov = _provenance("recommend", effective, {})
 

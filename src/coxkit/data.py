@@ -121,6 +121,8 @@ class StandardizationParams:
             object.__setattr__(
                 self, "constant_mask", np.asarray(self.constant_mask, dtype=bool)
             )
+        if not (np.all(np.isfinite(self.means)) and np.all(np.isfinite(self.stddevs))):
+            raise ValueError("means and stddevs must be finite")
         if np.any(self.stddevs <= 0):
             raise ValueError("stddevs must be strictly positive")
 

@@ -275,13 +275,14 @@ def random_search(
     epochs: int = 200,
     optimizer_kind: str = "adam",
     clip_norm: float | None = None,
-) -> tuple[NetworkConfig, OptimizerConfig, list[dict]]:
+) -> tuple[NetworkConfig, OptimizerConfig, list[dict], int]:
     """Random search scored by mean k-fold validation C-index.
 
     Folds are fixed across trials; each trial trains one sampled
     configuration per fold and is scored by the mean holdout C-index of the
     final-epoch networks. Divergent or degenerate folds score 0 so unattended
-    searches keep going. Ties go to the earlier trial.
+    searches keep going. Ties go to the earlier trial. Returns the winner's
+    network and optimizer configs, every trial, and the winner's index.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -320,4 +321,4 @@ def random_search(
         )
 
     best = max(trials, key=lambda t: (t["mean_cindex"], -t["trial"]))
-    return best["network"], best["optimizer"], trials
+    return best["network"], best["optimizer"], trials, best["trial"]

@@ -41,15 +41,9 @@ class RecommendationReport:
     log_rank_result: LogRankResult
 
 
-def _model_width(model) -> int | None:
-    if isinstance(model, LinearCoxModel):
-        return model.beta.shape[0]
-    if isinstance(model, RiskNetwork):
-        return model.input_dim
-    return None
-
-
-def _predict(model, x: np.ndarray) -> np.ndarray:
+def predict(model, x: np.ndarray) -> np.ndarray:
+    """Risks of the rows of `x` under a linear Cox model, a risk network
+    (inference mode, so deterministic) or a callable of the input matrix."""
     if isinstance(model, LinearCoxModel):
         return x @ model.beta
     if isinstance(model, RiskNetwork):
@@ -57,18 +51,24 @@ def _predict(model, x: np.ndarray) -> np.ndarray:
     return np.asarray(model(x), dtype=float)
 
 
-def _check_treatment_index(model, x: np.ndarray, treatment_index: int) -> None:
-    width = _model_width(model)
-    if width is None:
-        width = x.shape[-1]
-    if not 0 <= treatment_index < width:
-        raise ValueError(f"treatment_index {treatment_index} out of range for d={width}")
+def group_risks(model, x, treatment_index: int, groups) -> np.ndarray:
+    """The (rows, groups) risks of `x` with its treatment input forced to each group.
 
-
-def _risk_at_group(model, x: np.ndarray, treatment_index: int, group) -> np.ndarray:
-    forced = np.array(x, dtype=float, copy=True)
-    forced[..., treatment_index] = group
-    return _predict(model, np.atleast_2d(forced))
+    A 1-d `x` is one row. Column k holds the model's risks with every row's
+    `treatment_index` feature set to `groups[k]`; the other inputs are as given.
+    """
+    forced = np.array(np.atleast_2d(x), dtype=float)
+    if not 0 <= treatment_index < forced.shape[1]:
+        raise ValueError(
+            f"treatment_index {treatment_index} out of range for d={forced.shape[1]}"
+        )
+    risks = np.empty((forced.shape[0], len(groups)))
+    for k, group in enumerate(groups):
+        forced[:, treatment_index] = group
+        # copied out before the next group overwrites `forced`, of which a
+        # callable model may return a view
+        risks[:, k] = predict(model, forced)
+    return risks
 
 
 def rec_fn(model, x, treatment_index: int, i, j):
@@ -80,13 +80,11 @@ def rec_fn(model, x, treatment_index: int, i, j):
     constant for every patient. Accepts one row or a matrix of rows.
     """
     x = np.asarray(x, dtype=float)
-    _check_treatment_index(model, x, treatment_index)
     if isinstance(model, LinearCoxModel):
         value = cph_recommender(model, treatment_index, i, j)
         return value if x.ndim == 1 else np.full(x.shape[0], value)
-    hi = _risk_at_group(model, x, treatment_index, i)
-    hj = _risk_at_group(model, x, treatment_index, j)
-    diff = hi - hj
+    risks = group_risks(model, x, treatment_index, [i, j])
+    diff = risks[:, 0] - risks[:, 1]
     return float(diff[0]) if x.ndim == 1 else diff
 
 
@@ -96,10 +94,7 @@ def recommend_treatment(model, x, treatment_index: int, groups):
     if not groups:
         raise ValueError("groups must be non-empty")
     x = np.asarray(x, dtype=float)
-    _check_treatment_index(model, x, treatment_index)
-    risks = np.stack(
-        [_risk_at_group(model, x, treatment_index, g) for g in groups], axis=1
-    )
+    risks = group_risks(model, x, treatment_index, groups)
     chosen = np.asarray(groups)[np.argmin(risks, axis=1)]
     return chosen[0] if x.ndim == 1 else chosen
 
@@ -118,21 +113,13 @@ def evaluate_recommendations(
     groups = np.unique(ds_test.treatments)
     if groups.size < 2:
         raise ValueError("need at least two treatment groups")
-    _check_treatment_index(model, ds_test.covariates, treatment_index)
+    risks = group_risks(model, ds_test.covariates, treatment_index, groups)
     if not np.array_equal(
         ds_test.covariates[:, treatment_index], ds_test.treatments.astype(float)
     ):
         raise ValueError(
             f"covariate column {treatment_index} does not hold the treatment labels"
         )
-
-    risks = np.stack(
-        [
-            _risk_at_group(model, ds_test.covariates, treatment_index, g)
-            for g in groups
-        ],
-        axis=1,
-    )
     recommended = groups[np.argmin(risks, axis=1)]
     rec_values = None
     if groups.size == 2:

@@ -9,7 +9,7 @@ risk-set sums in `coxkit.riskset`, O(n) after sorting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -65,6 +65,11 @@ class RiskNetwork:
                 raise ValueError("layer dimensions do not chain")
         if dims[-1][1] != 1:
             raise ValueError("final layer must map to a single output node")
+        hidden = [out for _, out in dims[:-1]]
+        if hidden != [self.config.nodes_per_layer] * self.config.hidden_layers:
+            raise ValueError("hidden layer widths must match the network config")
+        if not all(np.all(np.isfinite(a)) for a in (*self.weights, *self.biases)):
+            raise ValueError("weights and biases must be finite")
 
     @property
     def input_dim(self) -> int:
@@ -290,13 +295,7 @@ def backward(
 def to_dict(net: RiskNetwork) -> dict:
     """JSON-ready payload: config plus row-major weight/bias arrays per layer."""
     return {
-        "config": {
-            "hidden_layers": net.config.hidden_layers,
-            "nodes_per_layer": net.config.nodes_per_layer,
-            "activation": net.config.activation,
-            "dropout_rate": net.config.dropout_rate,
-            "l2_coefficient": net.config.l2_coefficient,
-        },
+        "config": asdict(net.config),
         "input_dim": net.input_dim,
         "layers": [
             {"weights": w.tolist(), "bias": b.tolist()}

@@ -10,8 +10,9 @@ import csv
 
 import numpy as np
 
+from coxkit.coxlinear import LinearCoxModel
 from coxkit.data import SurvivalDataset
-from coxkit.riskmlp import SELU_ALPHA, SELU_LAMBDA
+from coxkit.riskmlp import SELU_ALPHA, SELU_LAMBDA, RiskNetwork
 
 
 def random_dataset(
@@ -204,6 +205,27 @@ def reference_backward(net, cache, d_risk, l2_coefficient=0.0):
         if layer > 0:
             g = g @ net.weights[layer].T
     return weight_grads, bias_grads
+
+
+def reference_group_risks(model, x, treatment_index, groups):
+    """Risks of `x` with the treatment input forced to each group, as columns.
+
+    The oracle for `coxkit.recommend.group_risks`: one fresh copy of `x` per
+    group, a linear model as `x @ beta`, a network through
+    `reference_forward` in inference mode, and the columns stacked at the end.
+    """
+    columns = []
+    for group in groups:
+        forced = np.array(x, dtype=float, copy=True)
+        forced[..., treatment_index] = group
+        forced = np.atleast_2d(forced)
+        if isinstance(model, LinearCoxModel):
+            columns.append(forced @ model.beta)
+        elif isinstance(model, RiskNetwork):
+            columns.append(reference_forward(model, forced, False, None)[0])
+        else:
+            columns.append(np.asarray(model(forced), dtype=float))
+    return np.stack(columns, axis=1)
 
 
 def numeric_gradient(fn, x0: np.ndarray, eps: float = 1e-6) -> np.ndarray:

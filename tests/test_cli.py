@@ -431,11 +431,15 @@ class TestTrainCommand:
              "network.hidden_layers"),
             ({"model": "bogus"}, "model"),
             ({"schema_version": 2}, "schema_version"),
+            ({"evaluation": {"alpha": 5}}, "evaluation.alpha"),
+            ({"evaluation": {"alpha": 0}}, "evaluation.alpha"),
+            ({"evaluation": {"bootstrap_replicates": 1}}, "evaluation.bootstrap_replicates"),
         ],
         ids=["epochs-float", "batch-size-float", "simulate-n-float", "epochs-bool",
              "hidden-layers-bool", "clip-norm-bool", "with-treatment-int",
              "schema-version-bool", "risks-csv-with-simulate", "linear-cph-network",
-             "unknown-model", "schema-version-2"],
+             "unknown-model", "schema-version-2", "alpha-above-1", "alpha-0",
+             "one-bootstrap-replicate"],
     )
     def test_config_fault_exit_2_before_any_work(
         self, tmp_path, capsys, monkeypatch, override, key
@@ -447,6 +451,27 @@ class TestTrainCommand:
         config = make_train_config(tmp_path, **override)
         assert run(["train", "--config", str(config)]) == 2
         assert f"bad config: {key} " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "override, literal",
+        [
+            ({"optimizer": {"learning_rate": float("nan")}}, "NaN"),
+            ({"network": {"l2_coefficient": float("inf")}}, "Infinity"),
+            ({"evaluation": {"alpha": float("-inf")}}, "-Infinity"),
+        ],
+        ids=["nan", "infinity", "minus-infinity"],
+    )
+    def test_non_json_constant_exit_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, override, literal
+    ):
+        def no_data(*args):
+            raise AssertionError("data loaded for a bad config")
+
+        monkeypatch.setattr(cli, "_load_source", no_data)
+        config = make_train_config(tmp_path, **override)  # json.dumps writes NaN
+        assert run(["train", "--config", str(config)]) == 2
+        assert f"{literal} is not a JSON value" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @settings(
@@ -521,9 +546,10 @@ class TestSearchCommand:
              "bad search space: hidden_layers must be an array of 2 entries, got [4]"),
             ({"activations": ["tanh"]},
              "bad search space: activations must be a non-empty subset of ('relu', 'selu')"),
+            ({"learning_rate": [1e-4, float("inf")]}, "Infinity is not a JSON value"),
         ],
         ids=["space0", "space1", "float-bound", "bool-bound", "one-bound",
-             "unknown-activation"],
+             "unknown-activation", "infinite-bound"],
     )
     def test_wrong_json_type_space_exit_2(self, tmp_path, capsys, space, message):
         run(["simulate", "--risk", "linear", "--n", "60", "--d", "3",
@@ -599,6 +625,77 @@ class TestRecommendCommand:
         write_csv(sim.dataset, plain)
         assert run(["recommend", "--model", str(model), "--data", str(plain),
                     "--out-dir", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda m: m.pop("layers"), "KeyError: 'layers'"),
+            (lambda m: m.pop("feature_names"), "KeyError: 'feature_names'"),
+            (lambda m: m["config"].update(hidden_layers="2"), "TypeError"),
+            (lambda m: m.update(config=5), "TypeError"),
+            (lambda m: m["layers"][0]["weights"][0].__setitem__(0, None),
+             "weights and biases must be finite"),
+            (lambda m: m["layers"][1]["bias"].__setitem__(0, float("nan")),
+             "NaN is not a JSON value"),
+            (lambda m: m["layers"][0].update(weights=[1.0, 2.0]), "IndexError"),
+            (lambda m: m["config"].update(hidden_layers=3),
+             "hidden layer widths must match the network config"),
+            (lambda m: m.update(model_type="bogus"), "KeyError: 'bogus'"),
+            (lambda m: m.update(standardization={"means": [0.0]}), "KeyError: 'stddevs'"),
+            (lambda m: m["standardization"]["means"].__setitem__(0, None),
+             "means and stddevs must be finite"),
+            (lambda m: m.clear(), "KeyError: 'model_type'"),
+        ],
+        ids=["missing-layers", "missing-feature-names", "hidden-layers-string",
+             "config-number", "null-weight", "nan-bias", "flat-weights",
+             "config-contradicts-layers", "unknown-model-type", "missing-stddevs",
+             "null-mean", "empty-object"],
+    )
+    def test_malformed_model_file_exit_2(
+        self, tmp_path, capsys, trained_treatment_model, corrupt, message
+    ):
+        model, data = trained_treatment_model
+        payload = json.loads(model.read_text())
+        corrupt(payload)
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "rec"
+        assert run(["recommend", "--model", str(bad), "--data", str(data),
+                    "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "order, names",
+        [([1, 0, 2, 3], ("x1", "x0", "x2", "x3")), ([0, 1, 2, 3], ("a", "x1", "x2", "x3"))],
+        ids=["swapped", "renamed"],
+    )
+    def test_reordered_or_renamed_columns_exit_2(
+        self, tmp_path, capsys, trained_treatment_model, order, names
+    ):
+        model, data = trained_treatment_model
+        ds = load_csv(data)
+        moved = tmp_path / "moved.csv"
+        write_csv(
+            dataclasses.replace(ds, covariates=ds.covariates[:, order], feature_names=names),
+            moved,
+        )
+        out = tmp_path / "rec"
+        assert run(["recommend", "--model", str(model), "--data", str(moved),
+                    "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        expected = ["x0", "x1", "x2", "x3", "treatment"]
+        assert f"takes inputs {expected}, data gives {[*names, 'treatment']}" in err
+        assert not out.exists()
+
+    def test_missing_model_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "rec"
+        missing = tmp_path / "nope.json"
+        assert run(["recommend", "--model", str(missing), "--data", "unused.csv",
+                    "--out-dir", str(out)]) == 2
+        assert f"cannot read model {missing}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # Runs in a fresh interpreter: pytest's own process has scipy loaded already.

@@ -419,6 +419,14 @@ class TestStandardize:
         with pytest.raises(ValueError, match="features"):
             standardize_apply(random_dataset(rng, n=10, d=2), params)
 
+    @pytest.mark.parametrize(
+        "means, stddevs",
+        [([0.0, np.nan], [1.0, 1.0]), ([0.0, 0.0], [1.0, np.inf]), ([0.0, 0.0], [np.nan, 1.0])],
+    )
+    def test_non_finite_params_rejected(self, means, stddevs):
+        with pytest.raises(ValueError, match="means and stddevs must be finite"):
+            data.StandardizationParams(means, stddevs)
+
 
 class TestSortView:
     def test_descending_permutation(self):

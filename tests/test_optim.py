@@ -245,10 +245,11 @@ class TestRandomSearch:
         return TestTrain.linear_toy(n, seed)
 
     def test_single_trial_returns_it(self):
-        net, opt, trials = random_search(
+        net, opt, trials, best = random_search(
             SearchSpace(), self.toy_ds(), k=3, n_trials=1, seed=1, epochs=5
         )
         assert len(trials) == 1
+        assert best == 0
         assert trials[0]["network"] == net
         assert trials[0]["optimizer"] == opt
 
@@ -256,22 +257,22 @@ class TestRandomSearch:
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_divergent_trials_score_zero_and_tie_break(self):
         space = SearchSpace(learning_rate=(1e8, 1e9))
-        _, _, trials = random_search(
+        net, opt, trials, best = random_search(
             space, self.toy_ds(), k=2, n_trials=3, seed=2, epochs=30,
             optimizer_kind="sgd",
         )
         assert all(t["mean_cindex"] == 0.0 for t in trials)
-        best = max(trials, key=lambda t: (t["mean_cindex"], -t["trial"]))
-        assert best["trial"] == 0  # ties go to the earliest trial
+        assert best == 0  # ties go to the earliest trial
+        assert (trials[0]["network"], trials[0]["optimizer"]) == (net, opt)
 
     def test_sane_trial_beats_divergent(self):
         space = SearchSpace(
             hidden_layers=(1, 1), nodes_per_layer=(4, 4), learning_rate=(1e-3, 1e-2)
         )
-        net, opt, trials = random_search(
+        _, _, trials, best = random_search(
             space, self.toy_ds(), k=2, n_trials=2, seed=3, epochs=30
         )
-        assert max(t["mean_cindex"] for t in trials) > 0.0
+        assert trials[best]["mean_cindex"] == max(t["mean_cindex"] for t in trials) > 0.0
 
     def test_deterministic(self):
         args = dict(k=2, n_trials=3, seed=4, epochs=5)

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxkit.coxlinear import LinearCoxModel, fit_cph
 from coxkit.data import SurvivalDataset, append_treatment_feature
 from coxkit.recommend import (
     evaluate_recommendations,
+    group_risks,
     rec_fn,
     recommend_treatment,
     report_to_dict,
 )
 from coxkit.riskmlp import NetworkConfig, init_network
 from coxkit.simulate import SimulationSpec, generate, risk_gaussian
+from helpers import reference_group_risks
 
 
 def treatment_sim(n=400, seed=60):
@@ -26,6 +30,52 @@ def treatment_sim(n=400, seed=60):
 
 def linear_two_feature_model(beta_treatment=0.7):
     return LinearCoxModel(np.array([0.4, beta_treatment]), True, 3, -1.0)
+
+
+def _model_of_kind(data, kind, d, treatment_index, seed):
+    """A model of `d` inputs: a network with dropout configured, a linear
+    model, a callable, or a callable returning a view of its input."""
+    if kind == "network":
+        config = NetworkConfig(
+            hidden_layers=data.draw(st.integers(1, 3)),
+            nodes_per_layer=data.draw(st.integers(1, 6)),
+            activation=data.draw(st.sampled_from(["relu", "selu"])),
+            dropout_rate=data.draw(st.sampled_from([0.0, 0.3, 0.6])),
+        )
+        return init_network(config, d=d, seed=seed)
+    if kind == "linear":
+        return LinearCoxModel(np.random.default_rng(seed).normal(size=d), True, 1, 0.0)
+    if kind == "callable":
+        return lambda X: np.tanh(X).sum(axis=1) * (1.0 + X[:, treatment_index])
+    column = data.draw(st.integers(0, d - 1))
+    return lambda X: X[:, column]
+
+
+class TestGroupRisks:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equals_per_group_oracle_bit_for_bit(self, data):
+        d = data.draw(st.integers(1, 5))
+        treatment_index = data.draw(st.integers(0, d - 1))
+        seed = data.draw(st.integers(0, 2**16))
+        shape = data.draw(st.sampled_from([(d,), (1, d), (7, d)]))
+        x = np.random.default_rng(seed).normal(size=shape)
+        groups = data.draw(
+            st.lists(st.integers(0, 3), min_size=2, max_size=3, unique=True)
+        )
+        kind = data.draw(st.sampled_from(["network", "linear", "callable", "view"]))
+        model = _model_of_kind(data, kind, d, treatment_index, seed)
+        before = x.copy()
+        risks = group_risks(model, x, treatment_index, groups)
+        expected = reference_group_risks(model, x, treatment_index, groups)
+        assert risks.shape == expected.shape == (np.atleast_2d(x).shape[0], len(groups))
+        assert risks.tobytes() == expected.tobytes()
+        assert np.array_equal(x, before)  # the input is never forced in place
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_index_out_of_range(self, index):
+        with pytest.raises(ValueError, match="out of range for d=3"):
+            group_risks(lambda X: X[:, 0], np.zeros((2, 3)), index, [0, 1])
 
 
 class TestRecFn:

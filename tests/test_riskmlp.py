@@ -507,3 +507,18 @@ class TestSerialization:
         back = from_dict(to_dict(net))
         assert back.config == cfg
         assert np.array_equal(forward(back, x), forward(net, x))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["weights", "biases"])
+    def test_non_finite_parameters_rejected(self, part, value):
+        net = passthrough_net()
+        getattr(net, part)[-1][0] = value
+        with pytest.raises(ValueError, match="weights and biases must be finite"):
+            RiskNetwork(weights=net.weights, biases=net.biases, config=net.config)
+
+    @pytest.mark.parametrize("hidden_layers, nodes_per_layer", [(2, 2), (1, 3)])
+    def test_layers_must_match_config(self, hidden_layers, nodes_per_layer):
+        net = passthrough_net()  # one hidden layer of two units
+        config = NetworkConfig(hidden_layers=hidden_layers, nodes_per_layer=nodes_per_layer)
+        with pytest.raises(ValueError, match="hidden layer widths must match"):
+            RiskNetwork(weights=net.weights, biases=net.biases, config=config)
