@@ -41,6 +41,8 @@ from coxkit.simulate import SimulationSpec, generate
 SCHEMA_VERSION = 1
 # the module that writes and reads each `model_type` of a model file
 MODEL_KINDS = {"linear_cph": coxlinear, "deep_cox": riskmlp}
+# the keys `train` writes to every model file, next to the model's own
+MODEL_ENVELOPE_KEYS = {"model_type", "feature_names", "standardization", "provenance"}
 
 
 class UsageError(ValueError):
@@ -325,14 +327,14 @@ def _prepare_splits(config: TrainConfig):
         risk_parts = [true_risks[i] for i in idx]
 
     params = standardize_fit(parts[0]) if config.standardize else None
-    parts, indices = zip(*(_model_inputs(p, params) for p in parts))
+    parts = [_model_inputs(p, params)[0] for p in parts]
     standardization = None
     if params is not None:
         standardization = {
             "means": params.means.tolist(),
             "stddevs": params.stddevs.tolist(),
         }
-    return parts, risk_parts, standardization, indices[0]
+    return parts, risk_parts, standardization
 
 
 def cmd_train(args) -> int:
@@ -341,9 +343,7 @@ def cmd_train(args) -> int:
     seeds = {section: cfg[section]["seed"] for section in SEEDED_SECTIONS}
     prov = _provenance("train", cfg, seeds)
 
-    (train_ds, val_ds, test_ds), risk_parts, standardization, treatment_index = (
-        _prepare_splits(config)
-    )
+    (train_ds, val_ds, test_ds), risk_parts, standardization = _prepare_splits(config)
 
     history = None
     if config.model == "linear_cph":
@@ -356,7 +356,6 @@ def cmd_train(args) -> int:
         "model_type": config.model,
         **MODEL_KINDS[config.model].to_dict(model),
         "feature_names": list(test_ds.feature_names),
-        "treatment_index": treatment_index,
         "standardization": standardization,
         "provenance": prov,
     }
@@ -485,10 +484,15 @@ def cmd_search(args) -> int:
 
 def _read_model(path):
     """The model of a `train` model file, its input names, standardization and
-    config hash; a missing or malformed file exits 2."""
+    config hash; a missing or malformed file, or one with a key `train` does
+    not write, exits 2."""
     payload = _load_json(path, "model")
     try:
-        model = MODEL_KINDS[payload["model_type"]].from_dict(payload)
+        kind = MODEL_KINDS[payload["model_type"]]
+        model = kind.from_dict(payload)
+        unknown = sorted(payload.keys() - MODEL_ENVELOPE_KEYS - kind.to_dict(model).keys())
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}")
         std = payload["standardization"]
         params = None if std is None else StandardizationParams(std["means"], std["stddevs"])
         names = tuple(payload["feature_names"])

@@ -17,6 +17,9 @@ from coxkit.riskset import breslow
 
 DIVERGENCE_CAP = 50.0
 
+MAX_ITER = 100
+STEP_TOL = 1e-9
+
 # A flat partial likelihood (perfect separation) drives |beta| up by a near
 # constant step each Newton iteration while the gradient and Hessian decay
 # like exp(-|beta|); past this magnitude a vanished gradient means a monotone
@@ -44,6 +47,8 @@ class LinearCoxModel:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
+        if self.beta.ndim != 1:
+            raise ValueError(f"beta must be a 1-d array, got shape {self.beta.shape}")
         if not np.all(np.isfinite(self.beta)):
             raise ValueError("beta must be finite")
 
@@ -74,13 +79,12 @@ def cox_log_likelihood(
     return ll
 
 
-def fit_cph(
-    ds: SurvivalDataset, max_iter: int = 100, tol: float = 1e-9
-) -> LinearCoxModel:
+def fit_cph(ds: SurvivalDataset) -> LinearCoxModel:
     """Maximize the log partial likelihood by Newton-Raphson from beta = 0.
 
     The Newton step is halved while it fails to improve the likelihood;
-    iteration stops when the accepted step's infinity norm drops below `tol`.
+    iteration stops when the accepted step's infinity norm drops below
+    `STEP_TOL`, or after `MAX_ITER` steps.
     Coefficients escaping past a magnitude cap signal a monotone likelihood
     (perfect separation): the fit returns with `diverged` set instead of
     looping to the iteration limit.
@@ -95,7 +99,7 @@ def fit_cph(
     iterations = 0
     converged = False
     diverged = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         singular = False
         step = None
         try:
@@ -136,7 +140,7 @@ def fit_cph(
         if np.max(np.abs(beta)) > DIVERGENCE_CAP:
             diverged = True
             break
-        if np.max(np.abs(step)) < tol:
+        if np.max(np.abs(step)) < STEP_TOL:
             converged = True
             break
 
@@ -189,5 +193,5 @@ def from_dict(payload: dict) -> LinearCoxModel:
         converged=bool(payload["converged"]),
         iterations=int(payload["iterations"]),
         final_log_likelihood=float(payload["log_likelihood"]),
-        diverged=bool(payload.get("diverged", False)),
+        diverged=bool(payload["diverged"]),
     )

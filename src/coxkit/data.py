@@ -10,7 +10,7 @@ every operation here returns a new object.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,33 +102,19 @@ class SurvivalDataset:
 class StandardizationParams:
     """Per-feature location/scale fitted on a training split.
 
-    Zero-variance features keep stddev 1 so they pass through unscaled;
-    `constant_mask` records which features were degenerate.
+    Zero-variance features keep stddev 1 so they pass through unscaled.
     """
 
     means: np.ndarray
     stddevs: np.ndarray
-    constant_mask: np.ndarray = field(default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "means", np.asarray(self.means, dtype=float))
         object.__setattr__(self, "stddevs", np.asarray(self.stddevs, dtype=float))
-        if self.constant_mask is None:
-            object.__setattr__(
-                self, "constant_mask", np.zeros(self.means.shape, dtype=bool)
-            )
-        else:
-            object.__setattr__(
-                self, "constant_mask", np.asarray(self.constant_mask, dtype=bool)
-            )
         if not (np.all(np.isfinite(self.means)) and np.all(np.isfinite(self.stddevs))):
             raise ValueError("means and stddevs must be finite")
         if np.any(self.stddevs <= 0):
             raise ValueError("stddevs must be strictly positive")
-
-    @property
-    def has_constant_features(self) -> bool:
-        return bool(self.constant_mask.any())
 
 
 @dataclass(frozen=True)
@@ -328,22 +314,15 @@ def load_csv(
     )
 
 
-def write_csv(
-    ds: SurvivalDataset,
-    path,
-    time_col: str = "time",
-    event_col: str = "event",
-    treatment_col: str = "treatment",
-    comment: str | None = None,
-) -> None:
+def write_csv(ds: SurvivalDataset, path, comment: str | None = None) -> None:
     """Write a dataset to CSV; `load_csv` of the result round-trips exactly.
 
     Floats are written with `repr`, which is lossless for float64.
     """
-    header = list(ds.feature_names) + [time_col, event_col]
+    header = list(ds.feature_names) + ["time", "event"]
     columns = list(ds.covariates.T) + [ds.times, ds.events]
     if ds.treatments is not None:
-        header.append(treatment_col)
+        header.append("treatment")
         columns.append(ds.treatments)
     write_columns(path, header, columns, comment)
 
@@ -428,9 +407,8 @@ def standardize_fit(ds: SurvivalDataset) -> StandardizationParams:
     """
     means = ds.covariates.mean(axis=0)
     stds = ds.covariates.std(axis=0)
-    constant = stds == 0.0
-    stds = np.where(constant, 1.0, stds)
-    return StandardizationParams(means=means, stddevs=stds, constant_mask=constant)
+    stds = np.where(stds == 0.0, 1.0, stds)
+    return StandardizationParams(means=means, stddevs=stds)
 
 
 def standardize_apply(

@@ -16,6 +16,9 @@ import numpy as np
 
 from coxkit.data import write_columns
 
+# consecutive redraws `bootstrap_ci` allows a resample without a comparable pair
+MAX_REDRAWS = 100
+
 
 @dataclass(frozen=True)
 class KaplanMeierCurve:
@@ -133,12 +136,11 @@ def bootstrap_ci(
     n_replicates: int = 200,
     alpha: float = 0.05,
     seed: int = 0,
-    max_retries: int = 100,
 ) -> BootstrapInterval:
     """Percentile bootstrap interval for the concordance index.
 
     Resamples (time, event, risk) triples jointly with replacement; a
-    resample with no comparable pairs is redrawn (up to `max_retries` times
+    resample with no comparable pairs is redrawn (up to `MAX_REDRAWS` times
     in a row) and counted in the returned diagnostics.
     """
     times, events, risks = _validate_triples(times, events, risks)
@@ -151,7 +153,7 @@ def bootstrap_ci(
     values = np.empty(n_replicates)
     redraws = 0
     for b in range(n_replicates):
-        for attempt in range(max_retries + 1):
+        for attempt in range(MAX_REDRAWS + 1):
             idx = rng.integers(0, n, size=n)
             try:
                 values[b] = concordance_index(times[idx], events[idx], risks[idx])
@@ -160,21 +162,18 @@ def bootstrap_ci(
                 redraws += 1
         else:
             raise RuntimeError(
-                f"persistent degenerate resamples: {max_retries} consecutive "
+                f"persistent degenerate resamples: {MAX_REDRAWS} consecutive "
                 "redraws without a comparable pair"
             )
     lower, upper = np.percentile(values, [100.0 * alpha / 2, 100.0 * (1 - alpha / 2)])
     return BootstrapInterval(lower=float(lower), upper=float(upper), redraws=redraws)
 
 
-def kaplan_meier(
-    times, events, alpha: float = 0.05, log_transform: bool = True
-) -> KaplanMeierCurve:
+def kaplan_meier(times, events, alpha: float = 0.05) -> KaplanMeierCurve:
     """Product-limit estimate with Greenwood confidence bands.
 
-    Bands are normal intervals on log S(t) by default (`log_transform=False`
-    gives plain linear bands); both are clipped to [0, 1]. Where the estimate
-    hits zero the band collapses to zero.
+    Bands are normal intervals on log S(t), clipped to [0, 1]. Where the
+    estimate hits zero the band collapses to zero.
     """
     from scipy.special import ndtri  # what scipy.stats.norm.ppf calls
 
@@ -197,13 +196,8 @@ def kaplan_meier(
         cum_var_log = np.cumsum(greenwood_terms)
         z = ndtri(1.0 - alpha / 2.0)
         se_log = np.sqrt(cum_var_log)
-        if log_transform:
-            lower = survival * np.exp(-z * se_log)
-            upper = survival * np.exp(z * se_log)
-        else:
-            se = survival * se_log
-            lower = survival - z * se
-            upper = survival + z * se
+        lower = survival * np.exp(-z * se_log)
+        upper = survival * np.exp(z * se_log)
     dead_end = survival <= 0.0
     lower = np.where(dead_end, 0.0, np.clip(lower, 0.0, 1.0))
     upper = np.where(dead_end, 0.0, np.clip(upper, 0.0, 1.0))

@@ -274,7 +274,6 @@ def random_search(
     seed: int = 0,
     epochs: int = 200,
     optimizer_kind: str = "adam",
-    clip_norm: float | None = None,
 ) -> tuple[NetworkConfig, OptimizerConfig, list[dict], int]:
     """Random search scored by mean k-fold validation C-index.
 
@@ -293,12 +292,7 @@ def random_search(
     trials = []
     for index in range(n_trials):
         net_config, opt_params = sample_configuration(space, sample_rng, optimizer_kind)
-        opt_config = OptimizerConfig(
-            epochs=epochs,
-            clip_norm=clip_norm,
-            seed=trial_seeds[index],
-            **opt_params,
-        )
+        opt_config = OptimizerConfig(epochs=epochs, seed=trial_seeds[index], **opt_params)
         fold_scores = []
         for fold_train, fold_holdout in pairs:
             try:

@@ -85,9 +85,9 @@ def render_km_svg(
     curves: list[tuple[str, KaplanMeierCurve]],
     title: str = "Kaplan-Meier survival",
     p_value: float | None = None,
-    show_bands: bool = True,
 ) -> str:
-    """SVG document with one step curve (and optional confidence band) per label."""
+    """SVG document with one step curve per label, drawn over its confidence
+    band when the curve has events."""
     if not curves:
         raise ValueError("need at least one curve")
     x_max = max(
@@ -144,7 +144,7 @@ def render_km_svg(
 
     for idx, (label, curve) in enumerate(curves):
         color = COLORS[idx % len(COLORS)]
-        if show_bands and curve.event_times.size:
+        if curve.event_times.size:
             bx, by = _band_points(curve, x_max)
             out.append(
                 f'<path d="{_path(bx, by, x_max, close=True)}" fill="{color}" '

@@ -296,7 +296,6 @@ def to_dict(net: RiskNetwork) -> dict:
     """JSON-ready payload: config plus row-major weight/bias arrays per layer."""
     return {
         "config": asdict(net.config),
-        "input_dim": net.input_dim,
         "layers": [
             {"weights": w.tolist(), "bias": b.tolist()}
             for w, b in zip(net.weights, net.biases)

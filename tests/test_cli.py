@@ -577,24 +577,48 @@ class TestSearchCommand:
         assert outs[0] == outs[1]
 
 
+def train_treatment_model(tmp_path, model):
+    """Train `model` on a treatment dataset; its model file and fresh data."""
+    config = make_train_config(
+        tmp_path,
+        dataset={"simulate": {"n": 400, "d": 4, "risk_kind": "gaussian",
+                               "lambda_max": 10.0, "r": 0.5,
+                               "with_treatment": True, "seed": 11}},
+        model=model,
+        optimizer={"kind": "adam", "learning_rate": 0.01, "epochs": 60, "seed": 2},
+    )
+    assert run(["train", "--config", str(config)]) == 0
+    sim = generate(
+        SimulationSpec(n=300, d=4, risk_kind="gaussian", lambda_max=10.0,
+                       r=0.5, with_treatment=True, seed=12)
+    )
+    data_path = tmp_path / "fresh.csv"
+    write_csv(sim.dataset, data_path)
+    return tmp_path / "out" / "model.json", data_path
+
+
+# the keys of a model file, by model type
+MODEL_FILE_KEYS = {
+    "deep_cox": {"model_type", "config", "layers", "feature_names",
+                 "standardization", "provenance"},
+    "linear_cph": {"model_type", "beta", "converged", "iterations", "log_likelihood",
+                   "diverged", "feature_names", "standardization", "provenance"},
+}
+
+
 class TestRecommendCommand:
     @pytest.fixture()
     def trained_treatment_model(self, tmp_path):
-        config = make_train_config(
-            tmp_path,
-            dataset={"simulate": {"n": 400, "d": 4, "risk_kind": "gaussian",
-                                   "lambda_max": 10.0, "r": 0.5,
-                                   "with_treatment": True, "seed": 11}},
-            optimizer={"kind": "adam", "learning_rate": 0.01, "epochs": 60, "seed": 2},
-        )
-        assert run(["train", "--config", str(config)]) == 0
-        sim = generate(
-            SimulationSpec(n=300, d=4, risk_kind="gaussian", lambda_max=10.0,
-                           r=0.5, with_treatment=True, seed=12)
-        )
-        data_path = tmp_path / "fresh.csv"
-        write_csv(sim.dataset, data_path)
-        return tmp_path / "out" / "model.json", data_path
+        return train_treatment_model(tmp_path, "deep_cox")
+
+    @pytest.mark.parametrize("model_type", sorted(MODEL_FILE_KEYS))
+    def test_model_file_keys(self, tmp_path, model_type):
+        """`train` writes exactly the keys `recommend` reads, and `recommend`
+        accepts the file."""
+        model, data = train_treatment_model(tmp_path, model_type)
+        assert json.loads(model.read_text()).keys() == MODEL_FILE_KEYS[model_type]
+        assert run(["recommend", "--model", str(model), "--data", str(data),
+                    "--out-dir", str(tmp_path / "rec")]) == 0
 
     def test_end_to_end(self, tmp_path, trained_treatment_model):
         model, data = trained_treatment_model
@@ -645,11 +669,16 @@ class TestRecommendCommand:
             (lambda m: m["standardization"]["means"].__setitem__(0, None),
              "means and stddevs must be finite"),
             (lambda m: m.clear(), "KeyError: 'model_type'"),
+            (lambda m: m.update(input_dim=99), "unknown keys ['input_dim']"),
+            (lambda m: m.update(treatment_index=0), "unknown keys ['treatment_index']"),
+            (lambda m: m.update(input_dim=99, treatment_index=0),
+             "unknown keys ['input_dim', 'treatment_index']"),
         ],
         ids=["missing-layers", "missing-feature-names", "hidden-layers-string",
              "config-number", "null-weight", "nan-bias", "flat-weights",
              "config-contradicts-layers", "unknown-model-type", "missing-stddevs",
-             "null-mean", "empty-object"],
+             "null-mean", "empty-object", "input-dim", "treatment-index",
+             "contradicting-keys"],
     )
     def test_malformed_model_file_exit_2(
         self, tmp_path, capsys, trained_treatment_model, corrupt, message
@@ -664,6 +693,21 @@ class TestRecommendCommand:
                     "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert str(bad) in err and message in err
+        assert not out.exists()
+
+    def test_two_dimensional_beta_exit_2(self, tmp_path, capsys):
+        model, data = train_treatment_model(tmp_path, "linear_cph")
+        payload = json.loads(model.read_text())
+        payload["beta"] = [[b] for b in payload["beta"]]
+        bad = tmp_path / "lin_2d.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "rec"
+        assert run(["recommend", "--model", str(bad), "--data", str(data),
+                    "--out-dir", str(out)]) == 2
+        assert (
+            f"bad model file {bad}: ValueError: beta must be a 1-d array, got shape (5, 1)"
+            in capsys.readouterr().err
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(

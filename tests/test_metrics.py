@@ -197,16 +197,6 @@ class TestKaplanMeier:
         for t, s in zip(km.event_times, km.survival):
             assert s == pytest.approx((times > t).mean(), abs=1e-12)
 
-    def test_greenwood_plain_band_hand_value(self):
-        km = kaplan_meier([1, 2, 3], [1, 1, 1], alpha=0.05, log_transform=False)
-        z = sps.norm.ppf(0.975)
-        se1 = (2 / 3) * np.sqrt(1 / (3 * 2))
-        assert km.ci_lower[0] == pytest.approx(2 / 3 - z * se1, abs=1e-9)
-        assert km.ci_upper[0] == pytest.approx(min(1.0, 2 / 3 + z * se1), abs=1e-9)
-        se2 = (1 / 3) * np.sqrt(1 / 6 + 1 / 2)
-        assert km.ci_lower[1] == pytest.approx(max(0.0, 1 / 3 - z * se2), abs=1e-9)
-        assert km.ci_upper[1] == pytest.approx(1 / 3 + z * se2, abs=1e-9)
-
     def test_greenwood_log_band_hand_value(self):
         km = kaplan_meier([1, 2, 3], [1, 1, 1], alpha=0.05)
         z = sps.norm.ppf(0.975)
@@ -354,17 +344,13 @@ def _km_and_log_rank(times, events, groups):
     return km, log_rank(times[a], events[a], times[b], events[b])
 
 
-def _bands_from_quantile(km, z, log_transform):
+def _bands_from_quantile(km, z):
     """Greenwood bands of `km` for the normal quantile `z`, by the steps of
     `kaplan_meier`."""
     with np.errstate(divide="ignore", invalid="ignore"):
         se_log = np.sqrt(np.cumsum(km.deaths / (km.at_risk * (km.at_risk - km.deaths))))
-        if log_transform:
-            lower = km.survival * np.exp(-z * se_log)
-            upper = km.survival * np.exp(z * se_log)
-        else:
-            lower = km.survival - z * (km.survival * se_log)
-            upper = km.survival + z * (km.survival * se_log)
+        lower = km.survival * np.exp(-z * se_log)
+        upper = km.survival * np.exp(z * se_log)
     dead_end = km.survival <= 0.0
     return (np.where(dead_end, 0.0, np.clip(lower, 0.0, 1.0)),
             np.where(dead_end, 0.0, np.clip(upper, 0.0, 1.0)))
@@ -381,14 +367,11 @@ _wide_groups = st.lists(
 
 class TestKaplanMeierLogRankProperties:
     @settings(deadline=None)
-    @given(_tied_groups, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-           st.booleans())
-    def test_bands_equal_scipy_stats_quantile(self, rows, alpha, log_transform):
+    @given(_tied_groups, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_bands_equal_scipy_stats_quantile(self, rows, alpha):
         times, events, _ = (np.array(col) for col in zip(*rows))
-        km = kaplan_meier(times.astype(float), events, alpha, log_transform)
-        lower, upper = _bands_from_quantile(
-            km, sps.norm.ppf(1.0 - alpha / 2.0), log_transform
-        )
+        km = kaplan_meier(times.astype(float), events, alpha)
+        lower, upper = _bands_from_quantile(km, sps.norm.ppf(1.0 - alpha / 2.0))
         assert np.array_equal(km.ci_lower, lower, equal_nan=True)
         assert np.array_equal(km.ci_upper, upper, equal_nan=True)
 
@@ -504,4 +487,4 @@ class TestBootstrap:
     def test_persistent_degenerate_resamples(self):
         # no comparable pairs exist in any resample
         with pytest.raises(RuntimeError, match="degenerate"):
-            bootstrap_ci([1.0, 2.0], [0, 0], [0.1, 0.2], n_replicates=5, max_retries=10)
+            bootstrap_ci([1.0, 2.0], [0, 0], [0.1, 0.2], n_replicates=5)
