@@ -5,6 +5,7 @@ and random hyperparameter search scored by cross-validated C-index.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -266,6 +267,55 @@ def sample_configuration(
     return net, opt
 
 
+# The k-fold (train, holdout) pairs of the search a worker process serves,
+# set once per worker by `_init_worker`.
+_worker_folds: list[tuple[SurvivalDataset, SurvivalDataset]] = []
+
+
+def _cap_blas_threads(limit: int) -> None:
+    """Cap every OpenBLAS loaded in this process at `limit` threads.
+
+    OpenBLAS fixes its thread count when it loads, so forked workers inherit
+    one sized for the whole machine; several of them together then run more
+    BLAS threads than there are CPUs, and its spinning threads slow every
+    worker down. The thread count does not change what a BLAS call returns.
+    Other BLAS libraries are left alone.
+    """
+    import ctypes
+
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix in ("openblas", "scipy_openblas"):
+            for suffix in ("", "64_", "_64"):
+                get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get_threads is not None and set_threads is not None:
+                    set_threads(min(get_threads(), limit))
+
+
+def _init_worker(pairs, blas_threads: int) -> None:
+    global _worker_folds
+    _worker_folds = pairs
+    _cap_blas_threads(blas_threads)
+
+
+def _score_fold(net_config: NetworkConfig, opt_config: OptimizerConfig, fold: int) -> float:
+    """Holdout C-index of one configuration trained on one fold, in a worker.
+
+    A divergent fold, or a holdout with no comparable pair, scores 0.
+    """
+    fold_train, fold_holdout = _worker_folds[fold]
+    try:
+        net, _ = train(fold_train, net_config, opt_config)
+        risks = forward(net, fold_holdout.covariates, mode="infer")
+        score = concordance_index(fold_holdout.times, fold_holdout.events, risks)
+    except (TrainingDiverged, ValueError):
+        score = 0.0
+    return float(score)
+
+
 def random_search(
     space: SearchSpace,
     ds: SurvivalDataset,
@@ -282,28 +332,43 @@ def random_search(
     final-epoch networks. Divergent or degenerate folds score 0 so unattended
     searches keep going. Ties go to the earlier trial. Returns the winner's
     network and optimizer configs, every trial, and the winner's index.
+
+    The trial x fold trainings run in forked worker processes, one per CPU
+    the process may run on (`os.sched_getaffinity`, so `taskset` limits
+    them) and at most one per training; each worker caps OpenBLAS at its
+    share of those CPUs. Every training has its own seed and
+    the scores are collected in submission order, so the results do not
+    depend on how many workers there are. The workers are joined before this
+    returns; an unexpected error in a training propagates with its type.
     """
+    import concurrent.futures
+    import multiprocessing
+
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     sample_rng = np.random.default_rng(seed)
     fold_seed, *trial_seeds = _derive_seeds(seed, 1 + n_trials)
     pairs = kfold(ds, k, fold_seed)
 
-    trials = []
+    configs = []
     for index in range(n_trials):
         net_config, opt_params = sample_configuration(space, sample_rng, optimizer_kind)
         opt_config = OptimizerConfig(epochs=epochs, seed=trial_seeds[index], **opt_params)
-        fold_scores = []
-        for fold_train, fold_holdout in pairs:
-            try:
-                net, _ = train(fold_train, net_config, opt_config)
-                risks = forward(net, fold_holdout.covariates, mode="infer")
-                score = concordance_index(
-                    fold_holdout.times, fold_holdout.events, risks
-                )
-            except (TrainingDiverged, ValueError):
-                score = 0.0
-            fold_scores.append(float(score))
+        configs.append((net_config, opt_config))
+    jobs = [(net, opt, fold) for net, opt in configs for fold in range(k)]
+    cpus = len(os.sched_getaffinity(0))
+    workers = min(cpus, len(jobs))
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(pairs, cpus // workers),
+    ) as pool:
+        scores = list(pool.map(_score_fold, *zip(*jobs)))
+
+    trials = []
+    for index, (net_config, opt_config) in enumerate(configs):
+        fold_scores = scores[index * k : (index + 1) * k]
         trials.append(
             {
                 "trial": index,

@@ -12,7 +12,16 @@ import numpy as np
 
 from coxkit.coxlinear import LinearCoxModel
 from coxkit.data import SurvivalDataset
-from coxkit.riskmlp import SELU_ALPHA, SELU_LAMBDA, RiskNetwork
+from coxkit.metrics import concordance_index
+from coxkit.optim import (
+    OptimizerConfig,
+    TrainingDiverged,
+    _derive_seeds,
+    kfold,
+    sample_configuration,
+    train,
+)
+from coxkit.riskmlp import SELU_ALPHA, SELU_LAMBDA, RiskNetwork, forward
 
 
 def random_dataset(
@@ -226,6 +235,43 @@ def reference_group_risks(model, x, treatment_index, groups):
         else:
             columns.append(np.asarray(model(forced), dtype=float))
     return np.stack(columns, axis=1)
+
+
+def reference_random_search(space, ds, k, n_trials, seed, epochs, optimizer_kind="adam"):
+    """Random search as one loop over trials and folds, in this process.
+
+    The oracle for `coxkit.optim.random_search`, which trains the same
+    trial x fold pairs in worker processes: configurations drawn in trial
+    order, every fold trained and scored in turn, a fold that diverges or
+    whose holdout has no comparable pair scored 0, ties to the earlier trial.
+    """
+    sample_rng = np.random.default_rng(seed)
+    fold_seed, *trial_seeds = _derive_seeds(seed, 1 + n_trials)
+    pairs = kfold(ds, k, fold_seed)
+    trials = []
+    for index in range(n_trials):
+        net_config, opt_params = sample_configuration(space, sample_rng, optimizer_kind)
+        opt_config = OptimizerConfig(epochs=epochs, seed=trial_seeds[index], **opt_params)
+        fold_scores = []
+        for fold_train, fold_holdout in pairs:
+            try:
+                net, _ = train(fold_train, net_config, opt_config)
+                risks = forward(net, fold_holdout.covariates, mode="infer")
+                score = concordance_index(fold_holdout.times, fold_holdout.events, risks)
+            except (TrainingDiverged, ValueError):
+                score = 0.0
+            fold_scores.append(float(score))
+        trials.append(
+            {
+                "trial": index,
+                "network": net_config,
+                "optimizer": opt_config,
+                "fold_cindex": fold_scores,
+                "mean_cindex": float(np.mean(fold_scores)),
+            }
+        )
+    best = max(trials, key=lambda t: (t["mean_cindex"], -t["trial"]))
+    return best["network"], best["optimizer"], trials, best["trial"]
 
 
 def numeric_gradient(fn, x0: np.ndarray, eps: float = 1e-6) -> np.ndarray:

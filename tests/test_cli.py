@@ -748,51 +748,80 @@ import json, os, sys
 from pathlib import Path
 from coxkit import cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def watched_modules():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("scipy", "multiprocessing", "concurrent"))
 
 os.chdir(sys.argv[1])
 Path("config.json").write_text(json.dumps(
     {"dataset": {"csv": "dataset.csv"}, "out_dir": "train",
      "network": {"hidden_layers": 1, "nodes_per_layer": 4},
      "optimizer": {"epochs": 2}, "evaluation": {"bootstrap_replicates": 5}}))
-commands = [
-    ["simulate", "--risk", "linear", "--n", "120", "--d", "3", "--with-treatment"],
-    ["train", "--config", "config.json"],
-    ["search", "--data", "dataset.csv", "--trials", "1", "--k", "2",
-     "--epochs", "2", "--out-dir", "search"],
-    ["km", "--data", "dataset.csv", "--group-by", "treatment", "--out-dir", "km"],
-    ["recommend", "--model", "train/model.json", "--data", "dataset.csv",
-     "--out-dir", "recommend"],
-]
+commands = {
+    "simulate": ["simulate", "--risk", "linear", "--n", "120", "--d", "3",
+                 "--with-treatment"],
+    "train": ["train", "--config", "config.json"],
+    "search": ["search", "--data", "dataset.csv", "--trials", "1", "--k", "2",
+               "--epochs", "2", "--out-dir", "search"],
+    "km": ["km", "--data", "dataset.csv", "--group-by", "treatment", "--out-dir", "km"],
+    "recommend": ["recommend", "--model", "train/model.json", "--data", "dataset.csv",
+                  "--out-dir", "recommend"],
+}
 loaded = {}
-for argv in commands:
-    assert cli.main(argv) == 0, argv
-    loaded[argv[0]] = scipy_modules()
+for name in sys.argv[2:]:
+    assert cli.main(commands[name]) == 0, name
+    loaded[name] = watched_modules()
 print(json.dumps(loaded))
 """
+
+
+def _modules_loaded_by(tmp_path, order):
+    """The scipy, multiprocessing and concurrent modules loaded after each
+    command, running `order` one after another in one fresh interpreter."""
+    import coxkit
+
+    src = str(Path(coxkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_START_SCRIPT, str(tmp_path), *order],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _scipy(modules):
+    return [m for m in modules if m == "scipy" or m.startswith("scipy.")]
 
 
 def test_only_km_and_recommend_load_scipy(tmp_path):
     """simulate, train and search never import scipy; km and recommend load
     scipy.special for the band quantile and the log-rank p-value, never
     scipy.stats."""
-    import coxkit
-
-    src = str(Path(coxkit.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", _COLD_START_SCRIPT, str(tmp_path)],
-        capture_output=True, text=True, timeout=300,
-        env={**os.environ, "PYTHONPATH": path},
+    loaded = _modules_loaded_by(
+        tmp_path, ["simulate", "train", "search", "km", "recommend"]
     )
-    assert done.returncode == 0, done.stderr
-    loaded = json.loads(done.stdout.splitlines()[-1])
     for command in ("simulate", "train", "search"):
-        assert loaded[command] == [], command
+        assert _scipy(loaded[command]) == [], command
     for command in ("km", "recommend"):
         assert "scipy.special" in loaded[command], command
         assert not any(m.startswith("scipy.stats") for m in loaded[command]), command
+
+
+def test_only_search_loads_multiprocessing(tmp_path):
+    """The search worker pool imports multiprocessing and concurrent.futures
+    when it starts. simulate and train load neither, and km and recommend
+    load no multiprocessing: the concurrent.futures they load comes with
+    scipy.special, whose import chain includes numpy.testing."""
+    loaded = _modules_loaded_by(
+        tmp_path, ["simulate", "train", "km", "recommend", "search"]
+    )
+    for command in ("simulate", "train"):
+        assert loaded[command] == [], command
+    for command in ("km", "recommend"):
+        assert not any(m.startswith("multiprocessing") for m in loaded[command]), command
+    assert {"multiprocessing", "concurrent.futures"} <= set(loaded["search"])
 
 
 class TestKmCommand:

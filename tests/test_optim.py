@@ -1,6 +1,15 @@
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from dataclasses import asdict
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from coxkit import optim
 from coxkit.data import SurvivalDataset
 from coxkit.optim import (
     OptimizerConfig,
@@ -17,7 +26,7 @@ from coxkit.optim import (
 )
 from coxkit.riskmlp import NetworkConfig, forward
 from coxkit.simulate import SimulationSpec, generate
-from helpers import random_dataset
+from helpers import random_dataset, reference_random_search
 
 
 class TestLrSchedule:
@@ -285,6 +294,143 @@ class TestRandomSearch:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError, match="n_trials"):
             random_search(SearchSpace(), self.toy_ds(), n_trials=0)
+
+    def test_training_error_propagates_and_no_worker_outlives_the_call(self, monkeypatch):
+        ds = self.toy_ds(n=44)  # k=3 trains on 29, 29 and 30 patients
+        args = dict(k=3, n_trials=1, seed=6, epochs=2)
+        random_search(SearchSpace(), ds, **args)
+        assert multiprocessing.active_children() == []
+
+        real_train = optim.train
+
+        def train_or_fail(train_ds, *rest):
+            if train_ds.n == 30:
+                raise RuntimeError("fold failed")
+            return real_train(train_ds, *rest)
+
+        monkeypatch.setattr(optim, "train", train_or_fail)
+        with pytest.raises(RuntimeError, match="fold failed"):
+            random_search(SearchSpace(), ds, **args)
+        assert multiprocessing.active_children() == []
+
+
+# Seed 5 puts no event in the first holdout, so fold 0 has no comparable
+# pair in every trial, and trial 1 draws a learning rate that diverges on
+# every fold; the other folds train and score.
+ORACLE_SEARCH = dict(k=3, n_trials=4, seed=5, epochs=20, optimizer_kind="sgd")
+ORACLE_SPACE = SearchSpace(
+    hidden_layers=(1, 2), nodes_per_layer=(2, 8), learning_rate=(1e-3, 1e9)
+)
+
+
+def oracle_search_dataset():
+    """30 patients with 4 events, for the search oracle tests."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1, 1, size=(30, 2))
+    t = -5.0 * np.log(1 - rng.random(30)) / np.exp(x[:, 0] + 2 * x[:, 1])
+    events = np.zeros(30, dtype=int)
+    events[rng.choice(30, 4, replace=False)] = 1
+    return SurvivalDataset(covariates=x, times=t, events=events)
+
+
+def search_as_json(result):
+    net, opt, trials, best = result
+    log = [{**t, "network": asdict(t["network"]), "optimizer": asdict(t["optimizer"])}
+           for t in trials]
+    return json.loads(json.dumps([asdict(net), asdict(opt), log, best]))
+
+
+_ONE_CPU_SEARCH_SCRIPT = """
+import json, os, sys, warnings
+warnings.simplefilter("ignore", RuntimeWarning)
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from test_optim import ORACLE_SEARCH, ORACLE_SPACE, oracle_search_dataset, search_as_json
+from coxkit.optim import random_search
+assert len(os.sched_getaffinity(0)) == 1
+result = random_search(ORACLE_SPACE, oracle_search_dataset(), **ORACLE_SEARCH)
+print(json.dumps(search_as_json(result)))
+"""
+
+
+class TestRandomSearchOracle:
+    @pytest.fixture(scope="class")
+    def expected(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = reference_random_search(
+                ORACLE_SPACE, oracle_search_dataset(), **ORACLE_SEARCH
+            )
+        trials = result[2]
+        seed, n_trials = ORACLE_SEARCH["seed"], ORACLE_SEARCH["n_trials"]
+        pairs = kfold(oracle_search_dataset(), 3, optim._derive_seeds(seed, 1 + n_trials)[0])
+        assert pairs[0][1].n_events == 0
+        assert [t["fold_cindex"][0] for t in trials] == [0.0] * 4
+        with pytest.raises(TrainingDiverged), np.errstate(over="ignore", invalid="ignore"):
+            train(pairs[1][0], trials[1]["network"], trials[1]["optimizer"])
+        assert trials[1]["fold_cindex"] == [0.0] * 3
+        assert result[3] == 2 and trials[2]["mean_cindex"] > 0.5
+        return search_as_json(result)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_matches_serial_reference(self, expected):
+        result = random_search(ORACLE_SPACE, oracle_search_dataset(), **ORACLE_SEARCH)
+        assert search_as_json(result) == expected
+
+    def test_matches_serial_reference_on_one_cpu(self, expected):
+        import coxkit
+
+        src = str(Path(coxkit.__file__).resolve().parents[1])
+        here = str(Path(__file__).resolve().parent)
+        path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _ONE_CPU_SEARCH_SCRIPT],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == expected
+
+
+_BLAS_CAP_SCRIPT = """
+import ctypes, glob, json, os
+import numpy
+from coxkit import optim
+
+def thread_counts():
+    counts = []
+    for path in glob.glob(os.path.dirname(numpy.__file__) + ".libs/*openblas*"):
+        lib = ctypes.CDLL(path)
+        for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads"):
+            if hasattr(lib, name):
+                counts.append(getattr(lib, name)())
+    return counts
+
+before = thread_counts()
+optim._cap_blas_threads(1)
+print(json.dumps([before, thread_counts()]))
+"""
+
+
+def test_search_workers_cap_openblas_threads():
+    """A search worker caps the OpenBLAS threads it inherits at its share of
+    the CPUs; numpy's bundled OpenBLAS is found and set to one thread."""
+    import coxkit
+
+    src = str(Path(coxkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _BLAS_CAP_SCRIPT],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"},
+    )
+    assert done.returncode == 0, done.stderr
+    before, after = json.loads(done.stdout)
+    if not before:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    assert before == [2] * len(before)
+    assert after == [1] * len(before)
 
 
 class TestOptimizerConfigValidation:
