@@ -272,27 +272,55 @@ def sample_configuration(
 _worker_folds: list[tuple[SurvivalDataset, SurvivalDataset]] = []
 
 
+# The thread-count functions of each OpenBLAS build numpy ships with or links:
+# a distribution's shared OpenBLAS, numpy 1.x wheels' ILP64 `libopenblas64_`
+# and numpy 2.x wheels' `libscipy_openblas64_`.
+_OPENBLAS_THREAD_FUNCTIONS = (
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+)
+
+
+def _openblas_paths(maps_lines) -> set[str]:
+    """The OpenBLAS files mapped in a process, from its /proc/<pid>/maps lines.
+
+    The pathname is the sixth field and may contain spaces; a file deleted
+    since it was mapped (pathname ending in " (deleted)") cannot be reopened.
+    """
+    paths = set()
+    for line in maps_lines:
+        parts = line.split(maxsplit=5)
+        if len(parts) < 6:
+            continue
+        path = parts[5].rstrip("\n")
+        if "openblas" in path.rsplit("/", 1)[-1] and not path.endswith(" (deleted)"):
+            paths.add(path)
+    return paths
+
+
 def _cap_blas_threads(limit: int) -> None:
     """Cap every OpenBLAS loaded in this process at `limit` threads.
 
     OpenBLAS fixes its thread count when it loads, so forked workers inherit
     one sized for the whole machine; several of them together then run more
     BLAS threads than there are CPUs, and its spinning threads slow every
-    worker down. The thread count does not change what a BLAS call returns.
-    Other BLAS libraries are left alone.
+    worker down. The thread count does not change what a BLAS call returns,
+    so a library that cannot be reopened is left as it is, and so are other
+    BLAS libraries.
     """
     import ctypes
 
-    with open("/proc/self/maps", encoding="utf-8") as fh:
-        paths = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]}
+    with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
+        paths = _openblas_paths(fh)
     for path in paths:
-        lib = ctypes.CDLL(path)
-        for prefix in ("openblas", "scipy_openblas"):
-            for suffix in ("", "64_", "_64"):
-                get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if get_threads is not None and set_threads is not None:
-                    set_threads(min(get_threads(), limit))
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_FUNCTIONS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                getattr(lib, set_name)(min(getattr(lib, get_name)(), limit))
 
 
 def _init_worker(pairs, blas_threads: int) -> None:
@@ -340,12 +368,18 @@ def random_search(
     the scores are collected in submission order, so the results do not
     depend on how many workers there are. The workers are joined before this
     returns; an unexpected error in a training propagates with its type.
+    The search needs Linux: elsewhere it raises RuntimeError.
     """
     import concurrent.futures
     import multiprocessing
 
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    if not hasattr(os, "sched_getaffinity"):
+        raise RuntimeError(
+            "random search needs Linux: it trains in forked worker processes, "
+            "one per CPU in the process's affinity mask"
+        )
     sample_rng = np.random.default_rng(seed)
     fold_seed, *trial_seeds = _derive_seeds(seed, 1 + n_trials)
     pairs = kfold(ds, k, fold_seed)

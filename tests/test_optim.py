@@ -295,6 +295,11 @@ class TestRandomSearch:
         with pytest.raises(ValueError, match="n_trials"):
             random_search(SearchSpace(), self.toy_ds(), n_trials=0)
 
+    def test_needs_linux(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        with pytest.raises(RuntimeError, match="needs Linux"):
+            random_search(SearchSpace(), self.toy_ds(), n_trials=1)
+
     def test_training_error_propagates_and_no_worker_outlives_the_call(self, monkeypatch):
         ds = self.toy_ds(n=44)  # k=3 trains on 29, 29 and 30 patients
         args = dict(k=3, n_trials=1, seed=6, epochs=2)
@@ -391,46 +396,81 @@ class TestRandomSearchOracle:
         assert json.loads(done.stdout) == expected
 
 
+# Loads a second copy of each OpenBLAS numpy bundles from a directory whose
+# name has a space, then caps every OpenBLAS in the process at one thread.
 _BLAS_CAP_SCRIPT = """
-import ctypes, glob, json, os
+import ctypes, glob, json, os, shutil, sys
 import numpy
 from coxkit import optim
+
+copies = []
+for path in glob.glob(os.path.dirname(numpy.__file__) + ".libs/*openblas*"):
+    copy = os.path.join(sys.argv[1], "copy_" + os.path.basename(path))
+    shutil.copy(path, copy)
+    copies.append(ctypes.CDLL(copy))
 
 def thread_counts():
     counts = []
     for path in glob.glob(os.path.dirname(numpy.__file__) + ".libs/*openblas*"):
-        lib = ctypes.CDLL(path)
-        for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
-                     "scipy_openblas_get_num_threads64_",
-                     "scipy_openblas_get_num_threads"):
-            if hasattr(lib, name):
-                counts.append(getattr(lib, name)())
-    return counts
+        counts.append(ctypes.CDLL(path))
+    return [getattr(lib, name)()
+            for lib in counts + copies
+            for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                         "scipy_openblas_get_num_threads64_")
+            if hasattr(lib, name)]
 
 before = thread_counts()
 optim._cap_blas_threads(1)
-print(json.dumps([before, thread_counts()]))
+print(json.dumps([len(copies), before, thread_counts()]))
 """
 
 
-def test_search_workers_cap_openblas_threads():
+def test_search_workers_cap_openblas_threads(tmp_path):
     """A search worker caps the OpenBLAS threads it inherits at its share of
-    the CPUs; numpy's bundled OpenBLAS is found and set to one thread."""
+    the CPUs; numpy's bundled OpenBLAS, and a copy loaded from a directory
+    whose name has a space, are found and set to one thread."""
     import coxkit
 
+    lib_dir = tmp_path / "My Env"
+    lib_dir.mkdir()
     src = str(Path(coxkit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", _BLAS_CAP_SCRIPT],
+        [sys.executable, "-c", _BLAS_CAP_SCRIPT, str(lib_dir)],
         capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"},
     )
     assert done.returncode == 0, done.stderr
-    before, after = json.loads(done.stdout)
-    if not before:
+    copies, before, after = json.loads(done.stdout)
+    if not copies:
         pytest.skip("numpy does not bundle OpenBLAS here")
+    assert len(before) == 2 * copies
     assert before == [2] * len(before)
     assert after == [1] * len(before)
+
+
+def test_openblas_paths_read_the_whole_pathname():
+    maps = [
+        "7f0000000000-7f0000001000 r-xp 00000000 08:01 42   "
+        "/home/u/My Env/lib/numpy.libs/libscipy_openblas64_-32a4b2a6.so\n",
+        "7f0000002000-7f0000003000 r--p 00000000 08:01 43   "
+        "/usr/lib/x86_64-linux-gnu/libopenblas.so.0\n",
+        "7f0000004000-7f0000005000 r-xp 00000000 08:01 44   "
+        "/opt/old/libopenblas64_p-r0.so (deleted)\n",
+        "7f0000006000-7f0000007000 r-xp 00000000 08:01 45   /usr/lib/libm.so.6\n",
+        "7f0000008000-7f0000009000 r--p 00000000 08:01 46   /opt/openblas/libfoo.so\n",
+        "7f000000a000-7f000000b000 rw-p 00000000 00:00 0 \n",
+        "7ffd00000000-7ffd00021000 rw-p 00000000 00:00 0    [stack]\n",
+    ]
+    assert optim._openblas_paths(maps) == {
+        "/home/u/My Env/lib/numpy.libs/libscipy_openblas64_-32a4b2a6.so",
+        "/usr/lib/x86_64-linux-gnu/libopenblas.so.0",
+    }
+
+
+def test_blas_cap_skips_a_library_it_cannot_load(monkeypatch):
+    monkeypatch.setattr(optim, "_openblas_paths", lambda lines: {"/no/such/libopenblas.so"})
+    optim._cap_blas_threads(1)
 
 
 class TestOptimizerConfigValidation:
