@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from coxkit.data import SortedSurvivalView, SurvivalDataset, sort_view
+from coxkit.data import SurvivalDataset, sort_view
 from coxkit.riskset import breslow
 
 DIVERGENCE_CAP = 50.0
@@ -61,22 +61,6 @@ def _newton_terms(beta, xs, es, tie_groups):
     """
     ll, at_risk, means = breslow(xs @ beta, es, tie_groups, xs)
     return ll, xs.T @ (es - at_risk), means.T @ means - (xs.T * at_risk) @ xs
-
-
-def cox_log_likelihood(
-    beta, ds: SurvivalDataset, view: SortedSurvivalView | None = None
-) -> float:
-    """Log partial likelihood of `beta` on the dataset (Breslow ties)."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (ds.d,):
-        raise ValueError(f"beta has {beta.shape} entries, dataset has d={ds.d}")
-    if ds.n_events == 0:
-        raise ValueError("no observed events")
-    if view is None:
-        view = sort_view(ds)
-    eta = (ds.covariates @ beta)[view.permutation]
-    ll, _, _ = breslow(eta, ds.events[view.permutation], view.tie_groups, weights=False)
-    return ll
 
 
 def fit_cph(ds: SurvivalDataset) -> LinearCoxModel:
@@ -151,30 +135,6 @@ def fit_cph(ds: SurvivalDataset) -> LinearCoxModel:
         final_log_likelihood=ll,
         diverged=diverged,
     )
-
-
-def predict_linear_risk(model: LinearCoxModel, x) -> float | np.ndarray:
-    """Dot product beta . x; accepts one vector or a matrix of rows."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != model.beta.shape[0]:
-        raise ValueError(
-            f"x has {x.shape[-1]} features, model has {model.beta.shape[0]}"
-        )
-    out = x @ model.beta
-    return float(out) if out.ndim == 0 else out
-
-
-def cph_recommender(
-    model: LinearCoxModel, treatment_index: int, i: float, j: float
-) -> float:
-    """Difference of predicted log hazards between treatment groups i and j.
-
-    For a linear model this is beta[treatment_index] * (i - j): one constant
-    for all patients, so the model recommends the same group to everyone.
-    """
-    if not 0 <= treatment_index < model.beta.shape[0]:
-        raise ValueError(f"treatment_index {treatment_index} out of range")
-    return float(model.beta[treatment_index] * (i - j))
 
 
 def to_dict(model: LinearCoxModel) -> dict:

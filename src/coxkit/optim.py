@@ -214,7 +214,7 @@ def train(
         history.train_loss.append(epoch_loss / sum(b.n for b, _ in batches))
         history.learning_rates.append(lr)
         if val_ds is not None:
-            val_risks = forward(net, val_ds.covariates, mode="infer")
+            val_risks = forward(net, val_ds.covariates)
             if not np.all(np.isfinite(val_risks)):
                 raise TrainingDiverged(f"non-finite validation risks at epoch {epoch}")
             history.val_cindex.append(
@@ -337,7 +337,7 @@ def _score_fold(net_config: NetworkConfig, opt_config: OptimizerConfig, fold: in
     fold_train, fold_holdout = _worker_folds[fold]
     try:
         net, _ = train(fold_train, net_config, opt_config)
-        risks = forward(net, fold_holdout.covariates, mode="infer")
+        risks = forward(net, fold_holdout.covariates)
         score = concordance_index(fold_holdout.times, fold_holdout.events, risks)
     except (TrainingDiverged, ValueError):
         score = 0.0

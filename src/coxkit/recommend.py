@@ -1,11 +1,10 @@
 """Personalized treatment recommendations from a fitted risk model.
 
-The recommender value for treatments i vs j is the difference of predicted
-log hazards obtained by evaluating the model with the treatment input forced
-to i and then to j: positive means i is riskier, so j is recommended. Test
-patients are partitioned by whether their assigned treatment matches the
-recommendation, and the two subsets are compared by Kaplan-Meier curves,
-median survival, and a log-rank test.
+`group_risks` scores every patient with the treatment input forced to each
+group, and the recommended group is the one of lowest risk (ties to the
+smaller label). Patients are partitioned by whether their assigned treatment
+matches it, and the two subsets are compared by Kaplan-Meier curves, median
+survival and a log-rank test.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from coxkit.coxlinear import LinearCoxModel, cph_recommender
+from coxkit.coxlinear import LinearCoxModel
 from coxkit.data import SurvivalDataset
 from coxkit.metrics import (
     KaplanMeierCurve,
@@ -33,6 +32,9 @@ class RecommendationReport:
     groups: np.ndarray
     recommended: np.ndarray
     rec_values: np.ndarray | None
+    """With two groups, each patient's risk under the larger label minus that
+    under the smaller (group 1 minus group 0), so a positive value recommends
+    the smaller label; None otherwise."""
     is_recommendation: np.ndarray
     km_recommendation: KaplanMeierCurve
     km_anti_recommendation: KaplanMeierCurve
@@ -43,11 +45,15 @@ class RecommendationReport:
 
 def predict(model, x: np.ndarray) -> np.ndarray:
     """Risks of the rows of `x` under a linear Cox model, a risk network
-    (inference mode, so deterministic) or a callable of the input matrix."""
+    (without dropout, so deterministic) or a callable of the input matrix."""
     if isinstance(model, LinearCoxModel):
+        if x.shape[-1] != model.beta.shape[0]:
+            raise ValueError(
+                f"x has {x.shape[-1]} features, model has {model.beta.shape[0]}"
+            )
         return x @ model.beta
     if isinstance(model, RiskNetwork):
-        return forward(model, x, mode="infer")
+        return forward(model, x)
     return np.asarray(model(x), dtype=float)
 
 
@@ -71,34 +77,6 @@ def group_risks(model, x, treatment_index: int, groups) -> np.ndarray:
     return risks
 
 
-def rec_fn(model, x, treatment_index: int, i, j):
-    """Predicted log hazard of treatment i minus treatment j for patient x.
-
-    Evaluates the model twice (inference mode, so deterministic) with the
-    treatment feature forced to each group. For a linear Cox model the
-    difference collapses to beta[treatment_index] * (i - j), the same
-    constant for every patient. Accepts one row or a matrix of rows.
-    """
-    x = np.asarray(x, dtype=float)
-    if isinstance(model, LinearCoxModel):
-        value = cph_recommender(model, treatment_index, i, j)
-        return value if x.ndim == 1 else np.full(x.shape[0], value)
-    risks = group_risks(model, x, treatment_index, [i, j])
-    diff = risks[:, 0] - risks[:, 1]
-    return float(diff[0]) if x.ndim == 1 else diff
-
-
-def recommend_treatment(model, x, treatment_index: int, groups):
-    """Group with the lowest predicted risk for x; ties go to the smaller label."""
-    groups = sorted(groups)
-    if not groups:
-        raise ValueError("groups must be non-empty")
-    x = np.asarray(x, dtype=float)
-    risks = group_risks(model, x, treatment_index, groups)
-    chosen = np.asarray(groups)[np.argmin(risks, axis=1)]
-    return chosen[0] if x.ndim == 1 else chosen
-
-
 def evaluate_recommendations(
     ds_test: SurvivalDataset, model, treatment_index: int
 ) -> RecommendationReport:
@@ -113,13 +91,13 @@ def evaluate_recommendations(
     groups = np.unique(ds_test.treatments)
     if groups.size < 2:
         raise ValueError("need at least two treatment groups")
-    risks = group_risks(model, ds_test.covariates, treatment_index, groups)
-    if not np.array_equal(
+    if not 0 <= treatment_index < ds_test.d or not np.array_equal(
         ds_test.covariates[:, treatment_index], ds_test.treatments.astype(float)
     ):
         raise ValueError(
             f"covariate column {treatment_index} does not hold the treatment labels"
         )
+    risks = group_risks(model, ds_test.covariates, treatment_index, groups)
     recommended = groups[np.argmin(risks, axis=1)]
     rec_values = None
     if groups.size == 2:

@@ -185,25 +185,16 @@ def _run_forward(net, x, train, rng):
     return out[:, 0], ForwardCache(inputs, pre_acts, derivs, masks)
 
 
-def forward(
-    net: RiskNetwork, x, mode: str = "infer", dropout_rng=None
-) -> np.ndarray:
-    """Predicted risks for the rows of `x`.
-
-    Train mode applies inverted dropout to hidden activations (retained units
-    scaled by 1/(1-p)); infer mode is deterministic.
-    """
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    rng = np.random.default_rng(dropout_rng) if mode == "train" else None
-    risks, _ = _run_forward(net, x, mode == "train", rng)
-    return risks
+def forward(net: RiskNetwork, x) -> np.ndarray:
+    """Predicted risks for the rows of `x`, without dropout (deterministic)."""
+    return _run_forward(net, x, False, None)[0]
 
 
 def forward_cached(
     net: RiskNetwork, x, dropout_rng=None
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Train-mode forward that also returns the cache `backward` needs."""
+    """Train-mode risks, with inverted dropout on the hidden activations
+    (retained units scaled by 1/(1-p)), and the cache `backward` needs."""
     rng = np.random.default_rng(dropout_rng)
     return _run_forward(net, x, True, rng)
 

@@ -21,7 +21,8 @@ from coxkit.optim import (
     sample_configuration,
     train,
 )
-from coxkit.riskmlp import SELU_ALPHA, SELU_LAMBDA, RiskNetwork, forward
+from coxkit.recommend import predict
+from coxkit.riskmlp import SELU_ALPHA, SELU_LAMBDA, RiskNetwork
 
 
 def random_dataset(
@@ -256,7 +257,7 @@ def reference_random_search(space, ds, k, n_trials, seed, epochs, optimizer_kind
         for fold_train, fold_holdout in pairs:
             try:
                 net, _ = train(fold_train, net_config, opt_config)
-                risks = forward(net, fold_holdout.covariates, mode="infer")
+                risks = predict(net, fold_holdout.covariates)
                 score = concordance_index(fold_holdout.times, fold_holdout.events, risks)
             except (TrainingDiverged, ValueError):
                 score = 0.0

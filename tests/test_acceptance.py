@@ -33,7 +33,7 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES
 from coxkit.cli import main as cli_main
-from coxkit.coxlinear import fit_cph, predict_linear_risk
+from coxkit.coxlinear import fit_cph
 from coxkit.data import (
     append_treatment_feature,
     sort_view,
@@ -43,7 +43,7 @@ from coxkit.data import (
 )
 from coxkit.metrics import concordance_index, kaplan_meier, log_rank, risk_mse
 from coxkit.optim import OptimizerConfig, train
-from coxkit.recommend import evaluate_recommendations
+from coxkit.recommend import evaluate_recommendations, predict
 from coxkit.riskmlp import (
     NetworkConfig,
     backward,
@@ -105,9 +105,9 @@ def run_experiment(spec, net_config, opt_config) -> ExperimentResult:
     train_ds, _, test_ds = parts
 
     cph = fit_cph(train_ds)
-    cph_risks = predict_linear_risk(cph, test_ds.covariates)
+    cph_risks = predict(cph, test_ds.covariates)
     net, _ = train(train_ds, net_config, opt_config)
-    deep_risks = forward(net, test_ds.covariates, mode="infer")
+    deep_risks = predict(net, test_ds.covariates)
 
     recommendation_report = None
     if treatment_index is not None:

@@ -10,15 +10,13 @@ from coxkit.coxlinear import (
     FitError,
     LinearCoxModel,
     _newton_terms,
-    cox_log_likelihood,
-    cph_recommender,
     fit_cph,
     from_dict,
-    predict_linear_risk,
     to_dict,
 )
 from coxkit.data import SurvivalDataset, sort_view
 from coxkit.metrics import concordance_index
+from coxkit.recommend import group_risks, predict
 from coxkit.simulate import SimulationSpec, generate
 from helpers import cumsum_loglik_grad_hess, numeric_gradient, random_dataset
 
@@ -32,28 +30,45 @@ def sorted_arrays(ds, view):
     return ds.covariates[perm], ds.events[perm], view.tie_groups
 
 
+def log_likelihood(beta, ds, view=None):
+    """Log partial likelihood of `beta` on the dataset, from `_newton_terms`."""
+    xs, es, groups = sorted_arrays(ds, sort_view(ds) if view is None else view)
+    return _newton_terms(np.asarray(beta, dtype=float), xs, es, groups)[0]
+
+
+def loop_log_likelihood(beta, ds):
+    """Breslow log partial likelihood by one log-sum-exp over each event's risk set."""
+    eta = ds.covariates @ beta
+    return sum(
+        eta[i] - np.logaddexp.reduce(eta[ds.times >= ds.times[i]])
+        for i in np.flatnonzero(ds.events)
+    )
+
+
 class TestLogLikelihood:
     def test_beta_zero_two_events(self):
         ds = SurvivalDataset(covariates=[[0.3], [0.8]], times=[1, 2], events=[1, 1])
-        assert cox_log_likelihood(np.zeros(1), ds) == pytest.approx(
+        assert log_likelihood(np.zeros(1), ds) == pytest.approx(
             -np.log(2.0), abs=1e-12
         )
 
     def test_beta_zero_three_events(self):
         ds = SurvivalDataset(covariates=[[1.0], [2.0], [3.0]], times=[1, 2, 3], events=[1, 1, 1])
-        assert cox_log_likelihood(np.zeros(1), ds) == pytest.approx(
+        assert log_likelihood(np.zeros(1), ds) == pytest.approx(
             -(np.log(3.0) + np.log(2.0)), abs=1e-12
         )
 
     def test_hand_value(self):
         # events at t=1 (x=1, risk set both) and t=2 (x=0, risk set self)
-        value = cox_log_likelihood(np.array([1.0]), two_patient_ds())
+        value = log_likelihood(np.array([1.0]), two_patient_ds())
         assert value == pytest.approx(1.0 - np.log(np.e + 1.0), abs=1e-12)
 
     def test_no_events(self):
+        # an empty sum of event terms, which leaves nothing to fit
         ds = SurvivalDataset(covariates=[[1.0]], times=[1.0], events=[0])
+        assert log_likelihood(np.zeros(1), ds) == 0.0
         with pytest.raises(ValueError, match="no observed events"):
-            cox_log_likelihood(np.zeros(1), ds)
+            fit_cph(ds)
 
     def test_breslow_ties_share_denominator(self):
         # two events tied at t=1 against one survivor: each term uses the
@@ -65,7 +80,7 @@ class TestLogLikelihood:
         eta = ds.covariates[:, 0] * 0.7
         denom = np.log(np.exp(eta).sum())
         expected = (eta[0] - denom) + (eta[1] - denom)
-        assert cox_log_likelihood(beta, ds) == pytest.approx(expected, abs=1e-12)
+        assert log_likelihood(beta, ds) == pytest.approx(expected, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(12)
@@ -75,7 +90,7 @@ class TestLogLikelihood:
             xs, es, groups = sorted_arrays(ds, view)
             beta = rng.normal(scale=0.7, size=3)
             _, grad, _ = _newton_terms(beta, xs, es, groups)
-            fd = numeric_gradient(lambda b: cox_log_likelihood(b, ds, view), beta)
+            fd = numeric_gradient(lambda b: log_likelihood(b, ds, view), beta)
             assert np.all(
                 np.abs(grad - fd) <= 1e-6 * np.maximum(1.0, np.abs(fd))
             ), f"grad {grad} vs fd {fd}"
@@ -131,8 +146,8 @@ class TestLogLikelihood:
         xs, es, groups = sorted_arrays(ds, view)
         beta = np.array([1.0, 0.5])
         ll, grad, hess = _newton_terms(beta, xs, es, groups)
-        assert ll == pytest.approx(cox_log_likelihood(beta, ds, view), rel=1e-12)
-        fd = numeric_gradient(lambda b: cox_log_likelihood(b, ds, view), beta)
+        assert ll == pytest.approx(loop_log_likelihood(beta, ds), rel=1e-12)
+        fd = numeric_gradient(lambda b: log_likelihood(b, ds, view), beta)
         np.testing.assert_allclose(grad, fd, rtol=1e-6)
         for k in range(2):
             row = numeric_gradient(lambda b: _newton_terms(b, xs, es, groups)[1][k], beta)
@@ -204,8 +219,8 @@ class TestFit:
         b = fit_cph(shifted)
         # partial likelihood depends on covariate differences only
         assert np.allclose(a.beta, b.beta, atol=1e-6)
-        ra = predict_linear_risk(a, ds.covariates)
-        rb = predict_linear_risk(b, shifted.covariates)
+        ra = predict(a, ds.covariates)
+        rb = predict(b, shifted.covariates)
         assert concordance_index(ds.times, ds.events, ra) == pytest.approx(
             concordance_index(ds.times, ds.events, rb), abs=1e-12
         )
@@ -240,36 +255,38 @@ class TestFit:
 class TestPredictAndRecommender:
     def test_zero_input(self):
         model = LinearCoxModel(np.array([1.5, -2.0]), True, 3, -1.0)
-        assert predict_linear_risk(model, np.zeros(2)) == 0.0
+        assert predict(model, np.zeros(2)) == 0.0
 
     def test_dot_product(self):
         model = LinearCoxModel(np.array([1.0, 2.0]), True, 3, -1.0)
-        assert predict_linear_risk(model, np.array([1.0, 1.0])) == 3.0
+        assert predict(model, np.array([1.0, 1.0])) == 3.0
 
     def test_noise_coordinates_orthogonal(self):
         beta = np.zeros(5)
         beta[0], beta[1] = 1.0, 2.0
         model = LinearCoxModel(beta, True, 3, -1.0)
         x = np.array([0.0, 0.0, 3.0, -2.0, 5.0])
-        assert predict_linear_risk(model, x) == 0.0
+        assert predict(model, x) == 0.0
 
     def test_dimension_mismatch(self):
         model = LinearCoxModel(np.array([1.0]), True, 1, -1.0)
-        with pytest.raises(ValueError, match="features"):
-            predict_linear_risk(model, np.zeros(3))
+        with pytest.raises(ValueError, match="x has 3 features, model has 1"):
+            predict(model, np.zeros(3))
+        with pytest.raises(ValueError, match="x has 3 features, model has 1"):
+            predict(model, np.zeros((4, 3)))
 
     def test_recommender_same_group(self):
         model = LinearCoxModel(np.array([0.7, 0.1]), True, 1, -1.0)
-        assert cph_recommender(model, 0, 1, 1) == 0.0
+        x = np.random.default_rng(14).normal(size=(6, 2))
+        risks = group_risks(model, x, 0, [1, 1])
+        assert np.array_equal(risks[:, 0] - risks[:, 1], np.zeros(6))
 
     def test_recommender_value(self):
+        # beta[0] * (1 - 0) for every patient, up to the rounding of x @ beta
         model = LinearCoxModel(np.array([0.7, 0.1]), True, 1, -1.0)
-        assert cph_recommender(model, 0, 1, 0) == pytest.approx(0.7, abs=1e-15)
-
-    def test_recommender_invalid_index(self):
-        model = LinearCoxModel(np.array([0.7]), True, 1, -1.0)
-        with pytest.raises(ValueError, match="out of range"):
-            cph_recommender(model, 5, 1, 0)
+        x = np.random.default_rng(15).normal(size=(6, 2))
+        risks = group_risks(model, x, 0, [1, 0])
+        np.testing.assert_allclose(risks[:, 0] - risks[:, 1], 0.7, rtol=0, atol=1e-15)
 
 
 class TestSerialization:

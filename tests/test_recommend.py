@@ -8,8 +8,6 @@ from coxkit.data import SurvivalDataset, append_treatment_feature
 from coxkit.recommend import (
     evaluate_recommendations,
     group_risks,
-    rec_fn,
-    recommend_treatment,
     report_to_dict,
 )
 from coxkit.riskmlp import NetworkConfig, init_network
@@ -30,6 +28,25 @@ def treatment_sim(n=400, seed=60):
 
 def linear_two_feature_model(beta_treatment=0.7):
     return LinearCoxModel(np.array([0.4, beta_treatment]), True, 3, -1.0)
+
+
+def mixed_treatment_ds(labels=(0, 1, 0, 1)):
+    """A small dataset of every group in `labels`, each patient's label in
+    covariate column 1 (the treatment input of `linear_two_feature_model`)."""
+    treatments = np.array(labels)
+    n = treatments.size
+    return SurvivalDataset(
+        covariates=np.column_stack([np.linspace(-1.0, 1.0, n), treatments]),
+        times=np.arange(1.0, n + 1.0),
+        events=np.ones(n, dtype=int),
+        treatments=treatments,
+    )
+
+
+def rec_values(model, x, treatment_index, i, j):
+    """Risk with the treatment input forced to i minus forced to j, per row."""
+    risks = group_risks(model, x, treatment_index, [i, j])
+    return risks[:, 0] - risks[:, 1]
 
 
 def _model_of_kind(data, kind, d, treatment_index, seed):
@@ -82,36 +99,37 @@ class TestRecFn:
     def test_same_group_zero(self):
         net = init_network(NetworkConfig(hidden_layers=1, nodes_per_layer=4), d=3, seed=0)
         x = np.array([0.1, 0.2, 1.0])
-        assert rec_fn(net, x, 2, 1, 1) == 0.0
+        assert rec_values(net, x, 2, 1, 1) == 0.0
 
     def test_linear_model_constant(self):
+        # beta[1] * (1 - 0) for every patient, up to the rounding of x @ beta
         model = linear_two_feature_model(0.7)
-        rng = np.random.default_rng(61)
-        values = [rec_fn(model, rng.normal(size=2), 1, 1, 0) for _ in range(10)]
-        assert all(v == 0.7 for v in values)
+        x = np.random.default_rng(61).normal(size=(10, 2))
+        values = rec_values(model, x, 1, 1, 0)
+        np.testing.assert_allclose(values, 0.7, rtol=0, atol=1e-15)
 
     def test_antisymmetry_exact(self):
         cfg = NetworkConfig(hidden_layers=2, nodes_per_layer=6, dropout_rate=0.4)
         net = init_network(cfg, d=4, seed=62)
         rng = np.random.default_rng(63)
         x = rng.normal(size=(20, 4))
-        fwd = rec_fn(net, x, 3, 1, 0)
-        rev = rec_fn(net, x, 3, 0, 1)
+        fwd = rec_values(net, x, 3, 1, 0)
+        rev = rec_values(net, x, 3, 0, 1)
         assert np.array_equal(fwd, -rev)
 
     def test_deterministic_despite_dropout_config(self):
         cfg = NetworkConfig(hidden_layers=1, nodes_per_layer=8, dropout_rate=0.5)
         net = init_network(cfg, d=3, seed=64)
         x = np.array([0.3, -0.2, 0.0])
-        assert rec_fn(net, x, 2, 1, 0) == rec_fn(net, x, 2, 1, 0)
+        assert rec_values(net, x, 2, 1, 0) == rec_values(net, x, 2, 1, 0)
 
     def test_output_bias_shift_invisible(self):
         net = init_network(NetworkConfig(hidden_layers=1, nodes_per_layer=5), d=3, seed=65)
         x = np.random.default_rng(66).normal(size=(7, 3))
-        before = rec_fn(net, x, 2, 1, 0)
+        before = rec_values(net, x, 2, 1, 0)
         net.biases[-1][0] += 3.25
         # the shared constant cancels in the difference, up to rounding
-        assert np.allclose(rec_fn(net, x, 2, 1, 0), before, atol=1e-12)
+        assert np.allclose(rec_values(net, x, 2, 1, 0), before, atol=1e-12)
 
     def test_ground_truth_gaussian_treatment(self):
         # callable model matching the generating risks of the treatment arm
@@ -119,45 +137,46 @@ class TestRecFn:
             return X[:, -1] * risk_gaussian(X[:, :-1], 10.0, 0.5)
 
         origin = np.zeros(11)
-        assert rec_fn(true_model, origin, 10, 1, 0) == pytest.approx(
+        assert rec_values(true_model, origin, 10, 1, 0)[0] == pytest.approx(
             np.log(10.0), abs=1e-12
         )
         far = np.zeros(11)
         far[0], far[1] = 1.0, 1.0
-        assert abs(rec_fn(true_model, far, 10, 1, 0)) < 0.05
-
-    def test_invalid_index(self):
-        model = linear_two_feature_model()
-        with pytest.raises(ValueError, match="out of range"):
-            rec_fn(model, np.zeros(2), 5, 1, 0)
+        assert abs(rec_values(true_model, far, 10, 1, 0)[0]) < 0.05
 
 
 class TestRecommendTreatment:
     def test_positive_rec_prefers_other_group(self):
         model = linear_two_feature_model(0.7)  # treatment 1 riskier
-        assert recommend_treatment(model, np.zeros(2), 1, [0, 1]) == 0
+        report = evaluate_recommendations(mixed_treatment_ds(), model, 1)
+        assert np.all(report.rec_values > 0)
+        assert np.all(report.recommended == 0)
 
     def test_negative_rec_prefers_treatment(self):
         model = linear_two_feature_model(-0.7)
-        assert recommend_treatment(model, np.zeros(2), 1, [0, 1]) == 1
+        report = evaluate_recommendations(mixed_treatment_ds(), model, 1)
+        assert np.all(report.rec_values < 0)
+        assert np.all(report.recommended == 1)
 
     def test_tie_breaks_to_lower_label(self):
         model = linear_two_feature_model(0.0)
-        assert recommend_treatment(model, np.zeros(2), 1, [0, 1]) == 0
+        report = evaluate_recommendations(mixed_treatment_ds(), model, 1)
+        assert np.all(report.rec_values == 0)
+        assert np.all(report.recommended == 0)
 
     def test_three_groups_argmin(self):
         model = linear_two_feature_model(-1.0)  # risk decreases with label
-        assert recommend_treatment(model, np.zeros(2), 1, [0, 1, 2]) == 2
-
-    def test_empty_groups(self):
-        model = linear_two_feature_model()
-        with pytest.raises(ValueError, match="non-empty"):
-            recommend_treatment(model, np.zeros(2), 1, [])
+        ds = mixed_treatment_ds((0, 1, 2, 2, 1, 0))
+        report = evaluate_recommendations(ds, model, 1)
+        assert report.rec_values is None
+        assert np.all(report.recommended == 2)
+        assert np.array_equal(report.is_recommendation, ds.treatments == 2)
 
     def test_matrix_input(self):
         model = linear_two_feature_model(0.7)
-        out = recommend_treatment(model, np.zeros((5, 2)), 1, [0, 1])
-        assert np.array_equal(out, np.zeros(5))
+        ds = mixed_treatment_ds((0, 1, 1, 0, 1))
+        report = evaluate_recommendations(ds, model, 1)
+        assert np.array_equal(report.recommended, np.zeros(5))
 
 
 class TestEvaluateRecommendations:
@@ -205,6 +224,18 @@ class TestEvaluateRecommendations:
         ds, index = treatment_sim()
         with pytest.raises(ValueError, match="treatment labels"):
             evaluate_recommendations(ds, fit_cph(ds), index - 1)
+
+    @pytest.mark.parametrize("index", [0, -1, 2])
+    def test_labels_checked_before_any_forward_pass(self, index):
+        calls = []
+
+        def model(X):
+            calls.append(X.shape)
+            return X[:, 0]
+
+        with pytest.raises(ValueError, match="treatment labels"):
+            evaluate_recommendations(mixed_treatment_ds(), model, index)
+        assert calls == []
 
     def test_empty_anti_subset_is_an_error(self):
         # x0 mirrors the assigned label, and the model scores the forced

@@ -106,9 +106,7 @@ class TestForward:
     def test_train_equals_infer_without_dropout(self):
         net = init_network(NetworkConfig(hidden_layers=2, nodes_per_layer=5), d=4, seed=2)
         x = np.random.default_rng(3).normal(size=(8, 4))
-        assert np.array_equal(
-            forward(net, x, mode="train", dropout_rng=1), forward(net, x, mode="infer")
-        )
+        assert np.array_equal(forward_cached(net, x, dropout_rng=1)[0], forward(net, x))
 
     def test_passthrough_matches_linear_risk(self):
         net = passthrough_net()
@@ -130,16 +128,11 @@ class TestForward:
         cfg = NetworkConfig(hidden_layers=1, nodes_per_layer=50, dropout_rate=0.4)
         net = init_network(cfg, d=3, seed=7)
         x = np.random.default_rng(8).normal(size=(5, 3))
-        a = forward(net, x, mode="train", dropout_rng=11)
-        b = forward(net, x, mode="train", dropout_rng=11)
-        c = forward(net, x, mode="train", dropout_rng=12)
+        a = forward_cached(net, x, dropout_rng=11)[0]
+        b = forward_cached(net, x, dropout_rng=11)[0]
+        c = forward_cached(net, x, dropout_rng=12)[0]
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
-
-    def test_invalid_mode(self):
-        net = init_network(NetworkConfig(), d=2, seed=0)
-        with pytest.raises(ValueError, match="mode"):
-            forward(net, np.zeros((1, 2)), mode="test")
 
     def test_infer_keeps_no_cache(self):
         # An n x 45 layer array is 6.9 MiB here. Caching every layer's input
@@ -247,7 +240,6 @@ class TestForwardBackwardOracle:
         want_infer, _ = reference_forward(net, x, False, None)
         assert _bitwise_equal(forward(net, x), want_infer)
         want_train, want_cache = reference_forward(net, x, True, np.random.default_rng(13))
-        assert _bitwise_equal(forward(net, x, mode="train", dropout_rng=13), want_train)
 
         risks, cache = forward_cached(net, x, dropout_rng=13)
         assert _bitwise_equal(risks, want_train)
@@ -481,7 +473,7 @@ class TestBackward:
             for arr in trial.weights + trial.biases:
                 arr[:] = flat[offset : offset + arr.size].reshape(arr.shape)
                 offset += arr.size
-            r = forward(trial, ds.covariates, mode="train", dropout_rng=77)
+            r = forward_cached(trial, ds.covariates, dropout_rng=77)[0]
             return cox_loss(r, ds, view)
 
         flat0 = np.concatenate([a.ravel() for a in net.weights + net.biases])
