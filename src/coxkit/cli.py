@@ -686,6 +686,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # the bytes a command writes must not depend on the host's CPU count
+    optim._cap_blas_threads(1)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -10,6 +10,7 @@ every operation here returns a new object.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,19 +176,21 @@ _RULES = {
 }
 
 
-def _read_header(path, required) -> tuple[list[str], list[str]]:
-    """The stripped header names and the lines below them, ``#`` lines dropped."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = [line for line in fh if not line.startswith("#")]
-    reader = csv.reader(lines)
+def _lines(fh):
+    """The lines of an open CSV file, lines starting with ``#`` dropped."""
+    return (line for line in fh if not line.startswith("#"))
+
+
+def _read_header(path, lines, required) -> list[str]:
+    """The stripped header names, read from `lines` up to the header's end."""
     try:
-        header = [name.strip() for name in next(reader)]
+        header = [name.strip() for name in next(csv.reader(lines))]
     except StopIteration:
         raise SchemaError(f"{path}: empty file, header row required") from None
     for name in required:
         if name not in header:
             raise SchemaError(f"{path}: missing required column {name!r}")
-    return header, lines[reader.line_num:]
+    return header
 
 
 def _parse_cell(raw: str, column: str, rule: str, row: int) -> float:
@@ -207,61 +210,86 @@ def _parse_cell(raw: str, column: str, rule: str, row: int) -> float:
     return value
 
 
-def _parse_rows(path, header, body, columns, whole_rows, label):
-    """`_parse_body` row by row through `csv` and `float`: the reference, and
-    the path that raises the first bad cell's error."""
+def _parse_rows(path, header, columns, whole_rows, label):
+    """`_parse_body` row by row through `csv` and `float`, reading the file
+    afresh: the reference, and the path that raises the first bad cell's error."""
     used = [header.index(name) for name, _ in columns]
     used += [] if label is None else [header.index(label)]
     width = len(header) if whole_rows else 1 + max(used)
     table, labels = [], []
-    for row_num, row in enumerate(csv.reader(body), start=1):
-        if not row:
-            continue
-        if len(row) != width if whole_rows else len(row) < width:
-            at_least = "" if whole_rows else "at least "
-            raise CsvParseError(
-                f"row {row_num}: expected {at_least}{width} cells, got {len(row)}"
-            )
-        table.append([
-            _parse_cell(row[i], name, rule, row_num)
-            for (name, rule), i in zip(columns, used)
-        ])
-        if label is not None:
-            labels.append(row[used[-1]].strip())
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = csv.reader(_lines(fh))
+        next(rows)  # the header
+        for row_num, row in enumerate(rows, start=1):
+            if not row:
+                continue
+            if len(row) != width if whole_rows else len(row) < width:
+                at_least = "" if whole_rows else "at least "
+                raise CsvParseError(
+                    f"row {row_num}: expected {at_least}{width} cells, got {len(row)}"
+                )
+            table.append([
+                _parse_cell(row[i], name, rule, row_num)
+                for (name, rule), i in zip(columns, used)
+            ])
+            if label is not None:
+                labels.append(row[used[-1]].strip())
     if not table:
         raise CsvParseError(f"{path}: no data rows")
     return np.array(table, dtype=float), None if label is None else labels
 
 
-def _parse_vectorised(header, body, columns, whole_rows, label):
-    """`_parse_rows`'s result by numpy's C parser; ValueError where the parser
-    or a check refuses the body."""
-    text = "".join(body)
-    if not text.strip("\r\n") or any(quirk in text for quirk in _C_PARSER_QUIRKS):
-        raise ValueError("no data rows, or a character float() reads differently")
+# Lines per `np.loadtxt` call: bounds the lines and parser buffers alive at once.
+_READ_BLOCK_LINES = 4096
+
+
+def _one_row_per_line(lines) -> bool:
+    """Whether no quoted cell in `lines` holds a line break or runs past them."""
+    try:
+        return sum(1 for _ in csv.reader(lines, strict=True)) == len(lines)
+    except csv.Error:
+        return False
+
+
+def _parse_vectorised(header, lines, columns, whole_rows, label):
+    """`_parse_rows`'s result by numpy's C parser, `_READ_BLOCK_LINES` lines
+    at a time; ValueError where the parser or a check refuses a block."""
     index = [header.index(name) for name, _ in columns]
     # quotechar splits cells as csv.reader does, so a quoted comma in a cell
     # left unread cannot shift the columns that usecols picks
     parse = dict(delimiter=",", comments=None, quotechar='"', ndmin=2)
-    table = np.loadtxt(body, float, usecols=None if whole_rows else index, **parse)
-    if whole_rows and table.shape[1] != len(header):
-        raise ValueError("rows do not match the header")
-    table = table[:, index] if whole_rows else table
-    if not np.isfinite(table).all() or any(
-        np.any(_RULES[rule][0](table[:, j])) for j, (_, rule) in enumerate(columns)
-    ):
-        raise ValueError("a value breaks its column's rule")
-    if label is None:
-        return table, None
-    labels = np.loadtxt(body, object, usecols=[header.index(label)], **parse)[:, 0]
-    return table, np.char.strip(labels.astype(str)).tolist()
+    tables, labels = [], []
+    while block := list(itertools.islice(lines, _READ_BLOCK_LINES)):
+        text = "".join(block)
+        if any(quirk in text for quirk in _C_PARSER_QUIRKS):
+            raise ValueError("a character float() reads differently")
+        if not text.strip("\r\n"):
+            continue
+        if '"' in text and not _one_row_per_line(block):
+            raise ValueError("a quoted cell spans lines, maybe across blocks")
+        table = np.loadtxt(block, float, usecols=None if whole_rows else index, **parse)
+        if whole_rows and table.shape[1] != len(header):
+            raise ValueError("rows do not match the header")
+        table = table[:, index] if whole_rows else table
+        if not np.isfinite(table).all() or any(
+            np.any(_RULES[rule][0](table[:, j])) for j, (_, rule) in enumerate(columns)
+        ):
+            raise ValueError("a value breaks its column's rule")
+        tables.append(table)
+        if label is not None:
+            cells = np.loadtxt(block, object, usecols=[header.index(label)], **parse)
+            labels += np.char.strip(cells[:, 0].astype(str)).tolist()
+    if not tables:
+        raise ValueError("no data rows")
+    return np.concatenate(tables), None if label is None else labels
 
 
-def _parse_body(path, header, body, columns, whole_rows, label=None):
+def _parse_body(path, header, lines, columns, whole_rows, label=None):
+    """The table (and labels) of the body lines left in `lines`."""
     try:
-        return _parse_vectorised(header, body, columns, whole_rows, label)
+        return _parse_vectorised(header, lines, columns, whole_rows, label)
     except ValueError:
-        return _parse_rows(path, header, body, columns, whole_rows, label)
+        return _parse_rows(path, header, columns, whole_rows, label)
 
 
 def read_columns(path, columns, label: str | None = None):
@@ -274,8 +302,10 @@ def read_columns(path, columns, label: str | None = None):
     citing the 1-based data row, for a malformed or rule-breaking cell.
     """
     names = [name for name, _ in columns] + ([] if label is None else [label])
-    header, body = _read_header(path, names)
-    return _parse_body(path, header, body, columns, False, label)
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = _lines(fh)
+        header = _read_header(path, lines, names)
+        return _parse_body(path, header, lines, columns, False, label)
 
 
 def load_csv(
@@ -293,18 +323,20 @@ def load_csv(
     Lines starting with ``#`` are ignored (provenance comments). Each row must
     have one cell per header name.
     """
-    header, body = _read_header(path, (time_col, event_col))
-    has_treatment = treatment_col is not None and treatment_col in header
-    special = {time_col, event_col} | ({treatment_col} if has_treatment else set())
-    feature_names = [name for name in header if name not in special]
-    if not feature_names:
-        raise SchemaError(f"{path}: no feature columns beyond {sorted(special)}")
-    columns = [(time_col, "time"), (event_col, "event")]
-    if has_treatment:
-        columns.append((treatment_col, "treatment"))
-    first_feature = len(columns)
-    columns += [(name, "value") for name in feature_names]
-    table, _ = _parse_body(path, header, body, columns, whole_rows=True)
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = _lines(fh)
+        header = _read_header(path, lines, (time_col, event_col))
+        has_treatment = treatment_col is not None and treatment_col in header
+        special = {time_col, event_col} | ({treatment_col} if has_treatment else set())
+        feature_names = [name for name in header if name not in special]
+        if not feature_names:
+            raise SchemaError(f"{path}: no feature columns beyond {sorted(special)}")
+        columns = [(time_col, "time"), (event_col, "event")]
+        if has_treatment:
+            columns.append((treatment_col, "treatment"))
+        first_feature = len(columns)
+        columns += [(name, "value") for name in feature_names]
+        table, _ = _parse_body(path, header, lines, columns, whole_rows=True)
     return SurvivalDataset(
         covariates=table[:, first_feature:].copy(),
         times=table[:, 0].copy(),

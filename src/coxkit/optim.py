@@ -302,17 +302,21 @@ def _openblas_paths(maps_lines) -> set[str]:
 def _cap_blas_threads(limit: int) -> None:
     """Cap every OpenBLAS loaded in this process at `limit` threads.
 
-    OpenBLAS fixes its thread count when it loads, so forked workers inherit
-    one sized for the whole machine; several of them together then run more
-    BLAS threads than there are CPUs, and its spinning threads slow every
-    worker down. The thread count does not change what a BLAS call returns,
-    so a library that cannot be reopened is left as it is, and so are other
-    BLAS libraries.
+    OpenBLAS sizes its thread pool for the whole machine when it loads. Its
+    multithreaded kernels sum in another order at some shapes, so the floats
+    a command writes would depend on the host's CPU count, and forked workers
+    that each keep the pool run more BLAS threads than there are CPUs. The
+    files are found through /proc/self/maps, so without procfs nothing is
+    capped; a library that cannot be reopened is left as it is, and so are
+    other BLAS libraries.
     """
     import ctypes
 
-    with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
-        paths = _openblas_paths(fh)
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
+            paths = _openblas_paths(fh)
+    except FileNotFoundError:
+        return
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
@@ -323,10 +327,10 @@ def _cap_blas_threads(limit: int) -> None:
                 getattr(lib, set_name)(min(getattr(lib, get_name)(), limit))
 
 
-def _init_worker(pairs, blas_threads: int) -> None:
+def _init_worker(pairs) -> None:
     global _worker_folds
     _worker_folds = pairs
-    _cap_blas_threads(blas_threads)
+    _cap_blas_threads(1)
 
 
 def _score_fold(net_config: NetworkConfig, opt_config: OptimizerConfig, fold: int) -> float:
@@ -363,8 +367,8 @@ def random_search(
 
     The trial x fold trainings run in forked worker processes, one per CPU
     the process may run on (`os.sched_getaffinity`, so `taskset` limits
-    them) and at most one per training; each worker caps OpenBLAS at its
-    share of those CPUs. Every training has its own seed and
+    them) and at most one per training; each worker caps OpenBLAS at one
+    thread. Every training has its own seed and
     the scores are collected in submission order, so the results do not
     depend on how many workers there are. The workers are joined before this
     returns; an unexpected error in a training propagates with its type.
@@ -390,13 +394,11 @@ def random_search(
         opt_config = OptimizerConfig(epochs=epochs, seed=trial_seeds[index], **opt_params)
         configs.append((net_config, opt_config))
     jobs = [(net, opt, fold) for net, opt in configs for fold in range(k)]
-    cpus = len(os.sched_getaffinity(0))
-    workers = min(cpus, len(jobs))
     with concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers,
+        max_workers=min(len(os.sched_getaffinity(0)), len(jobs)),
         mp_context=multiprocessing.get_context("fork"),
         initializer=_init_worker,
-        initargs=(pairs, cpus // workers),
+        initargs=(pairs,),
     ) as pool:
         scores = list(pool.map(_score_fold, *zip(*jobs)))
 

@@ -45,11 +45,15 @@ class RecommendationReport:
 
 def predict(model, x: np.ndarray) -> np.ndarray:
     """Risks of the rows of `x` under a linear Cox model, a risk network
-    (without dropout, so deterministic) or a callable of the input matrix."""
+    (without dropout, so deterministic) or a callable of the input matrix.
+
+    A 1-d `x` is one row, so a model of either kind returns one risk per row.
+    """
     if isinstance(model, LinearCoxModel):
-        if x.shape[-1] != model.beta.shape[0]:
+        x = np.atleast_2d(x)
+        if x.shape[1] != model.beta.shape[0]:
             raise ValueError(
-                f"x has {x.shape[-1]} features, model has {model.beta.shape[0]}"
+                f"x has {x.shape[1]} features, model has {model.beta.shape[0]}"
             )
         return x @ model.beta
     if isinstance(model, RiskNetwork):

@@ -155,6 +155,13 @@ def _activate(
     return h, deriv
 
 
+# Rows per bias-and-activation step of an inference pass. Each layer's matmul
+# runs over all rows, so BLAS sees the same operands whatever the block; the
+# block bounds the activation's temporaries, so a layer holds about one
+# rows x width array.
+_INFER_BLOCK_ROWS = 4096
+
+
 def _run_forward(net, x, train, rng):
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -166,18 +173,26 @@ def _run_forward(net, x, train, rng):
     a = x
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
         z = a @ w
+        if not train:
+            # the bias and activation are elementwise, so overwriting the
+            # product block by block gives the whole-array floats
+            for start in range(0, z.shape[0], _INFER_BLOCK_ROWS):
+                block = z[start : start + _INFER_BLOCK_ROWS]
+                block += b
+                block[...] = _activate(block, net.config.activation)[0]
+            a = z
+            continue
         z += b
-        h, deriv = _activate(z, net.config.activation, grad=train)
+        h, deriv = _activate(z, net.config.activation, grad=True)
         mask = None
-        if train and p > 0.0:
+        if p > 0.0:
             mask = rng.random(h.shape) >= p
             h *= mask
             h *= 1.0 / (1.0 - p)
-        if train:
-            inputs.append(a)
-            pre_acts.append(z)
-            derivs.append(deriv)
-            masks.append(mask)
+        inputs.append(a)
+        pre_acts.append(z)
+        derivs.append(deriv)
+        masks.append(mask)
         a = h
     inputs.append(a)
     out = a @ net.weights[-1]

@@ -22,7 +22,7 @@ from coxkit.optim import (
     train,
 )
 from coxkit.recommend import predict
-from coxkit.riskmlp import SELU_ALPHA, SELU_LAMBDA, RiskNetwork
+from coxkit.riskmlp import SELU_ALPHA, SELU_LAMBDA, RiskNetwork, _activate
 
 
 def random_dataset(
@@ -189,6 +189,28 @@ def reference_forward(net, x, train, rng):
     inputs.append(a)
     risks = (a @ net.weights[-1] + net.biases[-1])[:, 0]
     return risks, (inputs, pre_acts, masks)
+
+
+def one_shot_forward(net, x):
+    """Inference risks of the rows of `x`, each layer's bias and activation
+    applied to its whole product at once.
+
+    The oracle for `coxkit.riskmlp.forward`, which applies them to row blocks
+    of the same products in place. It calls the library's `_activate`, which
+    tests check against `two_branch_activate`, so that a difference can come
+    only from the blocks.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x[None, :]
+    a = x
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        z = a @ w
+        z += b
+        a, _ = _activate(z, net.config.activation)
+    out = a @ net.weights[-1]
+    out += net.biases[-1]
+    return out[:, 0]
 
 
 def reference_backward(net, cache, d_risk, l2_coefficient=0.0):

@@ -824,6 +824,58 @@ def test_only_search_loads_multiprocessing(tmp_path):
     assert {"multiprocessing", "concurrent.futures"} <= set(loaded["search"])
 
 
+_TRAIN_AND_RECOMMEND_SCRIPT = """
+from coxkit import cli
+assert cli.main(["train", "--config", "../config.json"]) == 0
+assert cli.main(["recommend", "--model", "out/model.json",
+                 "--data", "../cohort/dataset.csv", "--out-dir", "out"]) == 0
+"""
+
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """`train` of a 2x57 SELU net with dropout and `recommend` on an odd
+    20,001-patient cohort write the same bytes whether OpenBLAS may start 1
+    or 2 threads or sizes itself: every command caps it at one thread, and
+    its multithreaded kernels sum in another order at these shapes."""
+    import coxkit
+
+    simulate = ["simulate", "--risk", "gaussian", "--d", "10", "--lambda-max", "10",
+                "--with-treatment"]
+    assert run([*simulate, "--n", "6000", "--seed", "3", "--out-dir", str(tmp_path / "sim")]) == 0
+    assert run([*simulate, "--n", "20001", "--seed", "4",
+                "--out-dir", str(tmp_path / "cohort")]) == 0
+    config = {
+        "dataset": {"csv": "../sim/dataset.csv"},
+        "network": {"hidden_layers": 2, "nodes_per_layer": 57, "activation": "selu",
+                    "dropout_rate": 0.3},
+        "optimizer": {"epochs": 30},
+        "evaluation": {"bootstrap_replicates": 10},
+        "out_dir": "out",
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    src = str(Path(coxkit.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    written = {}
+    for threads in ("1", "2", None):
+        cwd = tmp_path / f"threads_{threads}"
+        cwd.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-c", _TRAIN_AND_RECOMMEND_SCRIPT],
+            cwd=cwd, capture_output=True, text=True, timeout=300,
+            env=env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert done.returncode == 0, done.stderr
+        written[threads] = {p.name: p.read_bytes() for p in (cwd / "out").iterdir()}
+    assert {"model.json", "history.csv", "metrics.json", "recommendation.json"} <= set(
+        written["1"]
+    )
+    assert written["2"] == written["1"]
+    assert written[None] == written["1"]
+
+
 class TestKmCommand:
     def test_grouped_two_curves(self, tmp_path):
         sim = generate(

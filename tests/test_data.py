@@ -200,9 +200,9 @@ _valid = {
     "event": st.sampled_from(["0", "1", " 1", "0.0", "1e0"]),
     "treatment": st.sampled_from(["0", "1", "2", "1.0"]),
     "group": st.sampled_from(
-        ["a", " a ", '"a"', ' "b" ', '"c,d"', '"e""f"', "", "b", "a\x00"]
+        ["a", " a ", '"a"', ' "b" ', '"c,d"', '"e""f"', "", "b", "a\x00", '"g\nh"']
     ),
-    "note": st.sampled_from(["x", '"y,1.5"', '"z"']),
+    "note": st.sampled_from(["x", '"y,1.5"', '"z"', '"1,\n2"']),
 }
 # cells float() reads and numpy's parser does not ("1_0", quoted), or the
 # other way round ("1\x1c"); non-finite and malformed cells; edge spellings
@@ -286,7 +286,10 @@ class TestReaderMatchesRowLoop:
         header, read = _READERS[reader]
         path = tmp_path_factory.getbasetemp() / f"differential_{reader}.csv"
         path.write_bytes(draw.draw(_csv_text(header)).encode("utf-8"))
-        got = _outcome(read, path)
+        # small blocks put block boundaries among the generated lines
+        block_lines = draw.draw(st.sampled_from([1, 2, 3, data._READ_BLOCK_LINES]))
+        with mock.patch.object(data, "_READ_BLOCK_LINES", block_lines):
+            got = _outcome(read, path)
         with mock.patch.object(data, "_parse_vectorised", side_effect=ValueError):
             want = _outcome(read, path)
         assert _same(got, want), (got, want)
@@ -303,6 +306,85 @@ class TestReaderMatchesRowLoop:
         path = write(tmp_path, "g,time,event\na\x00,2,1\n")
         _, labels = read_columns(path, [("time", "time"), ("event", "event")], "g")
         assert labels == ["a\x00"]
+
+
+def _body(rows):
+    """Data lines under `TestStreamedReader.HEADER`, row i's time 1 + i % 7."""
+    return [f"{i * 0.5},{1 + i % 7},{-i},{i % 2},{i % 3}\n" for i in range(1, rows + 1)]
+
+
+class TestStreamedReader:
+    """Files whose body crosses `_READ_BLOCK_LINES`: each reader equals the
+    row loop alone, or raises its error."""
+
+    HEADER = "x0,time,x1,event,treatment\n"
+
+    def same_as_row_loop(self, path):
+        """`load_csv`'s outcome, after checking it and km's read against the
+        row loop."""
+        outcomes = []
+        for read in (
+            lambda p: _dataset_fields(load_csv(p)),
+            lambda p: read_columns(p, [("time", "time"), ("x1", "value")], "treatment"),
+        ):
+            got = _outcome(read, path)
+            with mock.patch.object(data, "_parse_vectorised", side_effect=ValueError):
+                want = _outcome(read, path)
+            assert _same(got, want), (got, want)
+            outcomes.append(got)
+        return outcomes[0]
+
+    def test_body_across_blocks(self, tmp_path):
+        rows = 2 * data._READ_BLOCK_LINES + 5
+        path = write(tmp_path, "# note\n" + self.HEADER + "".join(_body(rows)))
+        covariates, times, *_ = self.same_as_row_loop(path)
+        assert covariates.shape == (rows, 2)
+        assert np.array_equal(times, 1 + np.arange(1, rows + 1) % 7)
+
+    def test_comment_and_blank_lines_at_the_boundary(self, tmp_path):
+        body = _body(data._READ_BLOCK_LINES + 10)
+        cut = data._READ_BLOCK_LINES - 1
+        body[cut:cut] = ["# note\n", "\n", "# note\n", "\r\n"]
+        path = write(tmp_path, self.HEADER + "".join(body))
+        self.same_as_row_loop(path)
+
+    def test_quoted_line_break_across_the_boundary(self, tmp_path):
+        # each block alone parses, the second with one row too many
+        lines = [f"{i * 0.5},x\n" for i in range(1, data._READ_BLOCK_LINES + 5)]
+        lines[data._READ_BLOCK_LINES - 1] = '1.5,"a\n'
+        lines[data._READ_BLOCK_LINES] = '2.5,b"\n'
+        path = write(tmp_path, "true_risk,note\n" + "".join(lines))
+        table, _ = read_columns(path, [("true_risk", "value")])
+        with mock.patch.object(data, "_parse_vectorised", side_effect=ValueError):
+            want, _ = read_columns(path, [("true_risk", "value")])
+        assert _same(table, want)
+        assert table.shape == (data._READ_BLOCK_LINES + 3, 1)
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [("1\x1c", "non-numeric value '1\\x1c' in column 'x0' at row 5000"),
+         ("abc", "non-numeric value 'abc' in column 'x0' at row 5000")],
+    )
+    def test_bad_cell_in_the_second_block_cites_its_row(self, tmp_path, cell, message):
+        body = _body(6000)
+        body[4999] = cell + body[4999][body[4999].index(","):]
+        path = write(tmp_path, self.HEADER + "".join(body))
+        assert self.same_as_row_loop(path) == (CsvParseError, message)
+
+    def test_header_only(self, tmp_path):
+        path = write(tmp_path, "# note\n" + self.HEADER)
+        assert self.same_as_row_loop(path) == (CsvParseError, f"{path}: no data rows")
+
+    def test_load_memory_is_bounded_by_the_table(self, tmp_path):
+        path = write(tmp_path, self.HEADER + "".join(_body(20_000)))
+        tracemalloc.start()
+        try:
+            ds = load_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table = sum(a.nbytes for a in (ds.covariates, ds.times, ds.events, ds.treatments))
+        assert peak < 2.5 * table, f"peak {peak / table:.2f} x the {table} bytes returned"
 
 
 class TestDatasetValidation:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -426,9 +427,9 @@ print(json.dumps([len(copies), before, thread_counts()]))
 
 
 def test_search_workers_cap_openblas_threads(tmp_path):
-    """A search worker caps the OpenBLAS threads it inherits at its share of
-    the CPUs; numpy's bundled OpenBLAS, and a copy loaded from a directory
-    whose name has a space, are found and set to one thread."""
+    """Every command and search worker caps OpenBLAS at one thread; numpy's
+    bundled OpenBLAS, and a copy loaded from a directory whose name has a
+    space, are found and set to one thread."""
     import coxkit
 
     lib_dir = tmp_path / "My Env"
@@ -471,6 +472,12 @@ def test_openblas_paths_read_the_whole_pathname():
 def test_blas_cap_skips_a_library_it_cannot_load(monkeypatch):
     monkeypatch.setattr(optim, "_openblas_paths", lambda lines: {"/no/such/libopenblas.so"})
     optim._cap_blas_threads(1)
+
+
+def test_blas_cap_without_procfs_caps_nothing():
+    # every command calls the cap, also where /proc/self/maps does not exist
+    with mock.patch("builtins.open", side_effect=FileNotFoundError):
+        optim._cap_blas_threads(1)
 
 
 class TestOptimizerConfigValidation:

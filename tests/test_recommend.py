@@ -8,6 +8,7 @@ from coxkit.data import SurvivalDataset, append_treatment_feature
 from coxkit.recommend import (
     evaluate_recommendations,
     group_risks,
+    predict,
     report_to_dict,
 )
 from coxkit.riskmlp import NetworkConfig, init_network
@@ -93,6 +94,21 @@ class TestGroupRisks:
     def test_index_out_of_range(self, index):
         with pytest.raises(ValueError, match="out of range for d=3"):
             group_risks(lambda X: X[:, 0], np.zeros((2, 3)), index, [0, 1])
+
+
+class TestPredict:
+    @pytest.mark.parametrize("kind", ["linear", "network"])
+    def test_one_risk_per_row(self, kind):
+        if kind == "linear":
+            model = LinearCoxModel(np.array([1.0, 2.0, -0.5]), True, 3, -1.0)
+        else:
+            model = init_network(NetworkConfig(hidden_layers=2, nodes_per_layer=4), d=3, seed=0)
+        x = np.random.default_rng(1).normal(size=(5, 3))
+        risks = predict(model, x)
+        assert risks.shape == (5,)
+        row = predict(model, x[2])
+        assert isinstance(row, np.ndarray) and row.shape == (1,)
+        assert row.tobytes() == predict(model, x[2:3]).tobytes()
 
 
 class TestRecFn:

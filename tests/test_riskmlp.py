@@ -12,6 +12,7 @@ from coxkit.riskmlp import (
     RiskNetwork,
     SELU_ALPHA,
     SELU_LAMBDA,
+    _INFER_BLOCK_ROWS,
     _activate,
     backward,
     cox_loss,
@@ -24,6 +25,7 @@ from coxkit.riskmlp import (
 )
 from helpers import (
     numeric_gradient,
+    one_shot_forward,
     random_dataset,
     reference_backward,
     reference_forward,
@@ -150,6 +152,46 @@ class TestForward:
         finally:
             tracemalloc.stop()
         assert peak < 5 * n * width * 8
+
+    def test_infer_peak_is_one_product_per_layer(self):
+        # the 100k x 45 product is 34.3 MiB; activating it whole held three
+        # such arrays (z, h and SELU's negative part), 103 MiB in all
+        x = np.random.default_rng(10).normal(size=(100_000, 11))
+        net = init_network(NetworkConfig(hidden_layers=1, nodes_per_layer=45), d=11, seed=10)
+        tracemalloc.start()
+        try:
+            forward(net, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 45 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+class TestBlockedInference:
+    """forward equals the whole-array pass of `helpers.one_shot_forward` bit
+    for bit, at row counts on both sides of the activation's block size."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        activation=st.sampled_from(["relu", "selu"]),
+        hidden_layers=st.integers(1, 3),
+        width=st.integers(1, 64),
+        d=st.integers(1, 12),
+        rows=st.sampled_from(
+            [1, _INFER_BLOCK_ROWS - 1, _INFER_BLOCK_ROWS, _INFER_BLOCK_ROWS + 1,
+             2 * _INFER_BLOCK_ROWS + 3]
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_one_shot_pass(self, activation, hidden_layers, width, d, rows, seed):
+        cfg = NetworkConfig(hidden_layers=hidden_layers, nodes_per_layer=width,
+                            activation=activation)
+        net = init_network(cfg, d=d, seed=seed)
+        rng = np.random.default_rng(seed)
+        for b in net.biases:
+            b += rng.normal(scale=0.5, size=b.shape)
+        x = rng.normal(scale=2.0, size=(rows, d))
+        assert _bitwise_equal(forward(net, x), one_shot_forward(net, x))
 
 
 # zeros of both signs, the smallest subnormal, a subnormal near the normal
