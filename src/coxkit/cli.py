@@ -576,7 +576,7 @@ def cmd_km(args) -> int:
         labelled = [(label, group_arr == label) for label in labels]
     files = {}
     for label, _ in labelled:
-        name = "km.csv" if label == "all" else f"km_{_safe_label(label)}.csv"
+        name = "km.csv" if args.group_by is None else f"km_{_safe_label(label)}.csv"
         if files.setdefault(name, label) != label:
             raise UsageError(
                 f"groups {files[name]!r} and {label!r} would both be written to {name}"

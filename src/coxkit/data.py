@@ -141,10 +141,6 @@ class SortedSurvivalView:
         self.permutation.setflags(write=False)
         self.tie_groups.setflags(write=False)
 
-    @property
-    def n(self) -> int:
-        return self.permutation.shape[0]
-
 
 def sort_view(ds: SurvivalDataset) -> SortedSurvivalView:
     """Order patients by descending time, grouping exact ties."""

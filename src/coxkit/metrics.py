@@ -172,9 +172,11 @@ def bootstrap_ci(
 def kaplan_meier(times, events, alpha: float = 0.05) -> KaplanMeierCurve:
     """Product-limit estimate with Greenwood confidence bands.
 
-    Bands are normal intervals on log S(t), clipped to [0, 1]. Where the
-    estimate hits zero the band collapses to zero.
+    Bands are normal intervals on log S(t) at level 1 - alpha, 0 < alpha < 1,
+    clipped to [0, 1]. Where the estimate hits zero the band collapses to zero.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
     from scipy.special import ndtri  # what scipy.stats.norm.ppf calls
 
     shape_error = "times and events must be equal-length non-empty arrays"

@@ -205,10 +205,9 @@ def train(
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
             d_risk = cox_loss_grad(risks, batch_ds, batch_view)
             grads = backward(net, cache, d_risk, l2)
-            flat = grads.weight_grads + grads.bias_grads
             if opt_config.clip_norm is not None:
-                flat = clip_gradients(flat, opt_config.clip_norm)
-            optimizer.step(params, flat, lr)
+                grads = clip_gradients(grads, opt_config.clip_norm)
+            optimizer.step(params, grads, lr)
             epoch_loss += loss * batch_ds.n
 
         history.train_loss.append(epoch_loss / sum(b.n for b, _ in batches))

@@ -9,7 +9,7 @@ risk-set sums in `coxkit.riskset`, O(n) after sorting.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -84,25 +84,16 @@ class RiskNetwork:
 
 
 @dataclass(frozen=True)
-class LossGradients:
-    """Gradient of the loss with respect to all parameters."""
-
-    weight_grads: list[np.ndarray] = field(default_factory=list)
-    bias_grads: list[np.ndarray] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
 class ForwardCache:
     """Intermediates of one train-mode forward pass, reused by backward.
 
-    `derivatives[k]` is the activation's derivative at `pre_activations[k]`,
-    computed in the same pass as the activation, so backward never
-    re-evaluates it. `dropout_masks[k]` is the boolean mask of retained units
-    (None without dropout); retained units are scaled by 1/(1-p) after it.
+    `derivatives[k]` is the activation's derivative at hidden layer k's
+    pre-activations, written in the same pass as the activation, so backward
+    never re-evaluates it. `dropout_masks[k]` is the boolean mask of retained
+    units (None without dropout); retained units are scaled by 1/(1-p) after it.
     """
 
     layer_inputs: list[np.ndarray]
-    pre_activations: list[np.ndarray]
     derivatives: list[np.ndarray]
     dropout_masks: list[np.ndarray | None]
 
@@ -121,13 +112,11 @@ def init_network(config: NetworkConfig, d: int, seed: int) -> RiskNetwork:
     return RiskNetwork(weights=weights, biases=biases, config=config)
 
 
-def _activate(
-    z: np.ndarray, kind: str, grad: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Activation of the pre-activations `z`, and with `grad` its derivative.
+def _activate(z: np.ndarray, kind: str, deriv: np.ndarray | None = None) -> None:
+    """Overwrite the pre-activations `z` with their activation, and with
+    `deriv` (an array of z's shape) write the derivative there.
 
-    Returns `(h, dh/dz)`, the derivative None without `grad`. Branch-free, so
-    the cost does not depend on the signs of `z`:
+    Branch-free, so the cost does not depend on the signs of `z`:
 
         relu(z) = max(z, 0)                           relu'(z) = [z > 0]
         selu(z) = λ·(max(z, 0) + α·expm1(min(z, 0)))
@@ -136,30 +125,31 @@ def _activate(
     Each entry adds an exact 0 or multiplies by an exact 0 or 1, so the floats
     equal the two-branch definitions (Klambauer et al. 2017).
     """
-    h = np.maximum(z, 0.0)
     if kind == "relu":
-        return h, (z > 0.0) if grad else None
+        if deriv is not None:
+            np.greater(z, 0.0, out=deriv)
+        np.maximum(z, 0.0, out=z)
+        return
     neg = np.minimum(z, 0.0)
-    deriv = None
-    if grad:
+    if deriv is not None:
         pos = z > 0.0
-        deriv = np.exp(neg)
+        np.exp(neg, out=deriv)
         deriv *= SELU_ALPHA
         deriv *= ~pos
         deriv += pos
         deriv *= SELU_LAMBDA
     np.expm1(neg, out=neg)
     neg *= SELU_ALPHA
-    h += neg
-    h *= SELU_LAMBDA
-    return h, deriv
+    np.maximum(z, 0.0, out=z)
+    z += neg
+    z *= SELU_LAMBDA
 
 
-# Rows per bias-and-activation step of an inference pass. Each layer's matmul
-# runs over all rows, so BLAS sees the same operands whatever the block; the
-# block bounds the activation's temporaries, so a layer holds about one
-# rows x width array.
-_INFER_BLOCK_ROWS = 4096
+# Rows per bias-and-activation step. Each layer's matmul runs over all rows,
+# so BLAS sees the same operands whatever the block; the block bounds the
+# activation's temporaries, so an inference layer holds about one
+# rows x width array. Training batches of at most this many rows run one block.
+_BLOCK_ROWS = 4096
 
 
 def _run_forward(net, x, train, rng):
@@ -169,35 +159,32 @@ def _run_forward(net, x, train, rng):
     if x.shape[1] != net.input_dim:
         raise ValueError(f"input has {x.shape[1]} columns, network expects {net.input_dim}")
     p = net.config.dropout_rate
-    inputs, pre_acts, derivs, masks = [], [], [], []
+    inputs, derivs, masks = [], [], []
     a = x
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
         z = a @ w
-        if not train:
-            # the bias and activation are elementwise, so overwriting the
-            # product block by block gives the whole-array floats
-            for start in range(0, z.shape[0], _INFER_BLOCK_ROWS):
-                block = z[start : start + _INFER_BLOCK_ROWS]
-                block += b
-                block[...] = _activate(block, net.config.activation)[0]
-            a = z
-            continue
-        z += b
-        h, deriv = _activate(z, net.config.activation, grad=True)
-        mask = None
-        if p > 0.0:
-            mask = rng.random(h.shape) >= p
-            h *= mask
-            h *= 1.0 / (1.0 - p)
-        inputs.append(a)
-        pre_acts.append(z)
-        derivs.append(deriv)
-        masks.append(mask)
-        a = h
+        deriv = np.empty_like(z) if train else None
+        # the bias and activation are elementwise, so overwriting the product
+        # block by block gives the whole-array floats
+        for start in range(0, z.shape[0], _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            block = z[rows]
+            block += b
+            _activate(block, net.config.activation, deriv[rows] if train else None)
+        if train:
+            mask = None
+            if p > 0.0:
+                mask = rng.random(z.shape) >= p
+                z *= mask
+                z *= 1.0 / (1.0 - p)
+            inputs.append(a)
+            derivs.append(deriv)
+            masks.append(mask)
+        a = z
     inputs.append(a)
     out = a @ net.weights[-1]
     out += net.biases[-1]
-    return out[:, 0], ForwardCache(inputs, pre_acts, derivs, masks)
+    return out[:, 0], ForwardCache(inputs, derivs, masks)
 
 
 def forward(net: RiskNetwork, x) -> np.ndarray:
@@ -260,8 +247,9 @@ def backward(
     cache: ForwardCache,
     d_risk: np.ndarray,
     l2_coefficient: float = 0.0,
-) -> LossGradients:
-    """Backpropagate d(loss)/d(risk) through the cached forward pass.
+) -> list[np.ndarray]:
+    """Backpropagate d(loss)/d(risk) through the cached forward pass, and
+    return the parameter gradients in `net.weights + net.biases` order.
 
     Adds the weight-decay term 2 * l2 * W to every weight gradient (biases
     are not penalized). The cache must come from `forward_cached` on the same
@@ -295,7 +283,7 @@ def backward(
         bias_grads[layer] = g.sum(axis=0)
         if layer > 0:
             g = g @ net.weights[layer].T
-    return LossGradients(weight_grads=weight_grads, bias_grads=bias_grads)
+    return weight_grads + bias_grads
 
 
 def to_dict(net: RiskNetwork) -> dict:

@@ -207,7 +207,8 @@ def one_shot_forward(net, x):
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
         z = a @ w
         z += b
-        a, _ = _activate(z, net.config.activation)
+        _activate(z, net.config.activation)
+        a = z
     out = a @ net.weights[-1]
     out += net.biases[-1]
     return out[:, 0]

@@ -958,6 +958,26 @@ class TestKmCommand:
         assert "'a&b' and 'a_b'" in capsys.readouterr().err
         assert not (out / "km.json").exists()
 
+    def test_group_named_all_gets_its_own_file(self, tmp_path):
+        data = tmp_path / "d.csv"
+        rows = [f"{1 + i % 7}.5,{i % 2},{('all', 'b')[i % 2]}" for i in range(40)]
+        data.write_text("time,event,grp\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "km"
+        assert run(["km", "--data", str(data), "--group-by", "grp",
+                    "--out-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("*.csv")) == ["km_all.csv", "km_b.csv"]
+
+    @pytest.mark.parametrize("alpha", ["0", "1", "-1", "1.5", "nan"])
+    def test_alpha_outside_unit_interval_exit_2(self, tmp_path, capsys, alpha):
+        sim = generate(SimulationSpec(n=200, d=4, risk_kind="linear", seed=15))
+        data = tmp_path / "d.csv"
+        write_csv(sim.dataset, data)
+        out = tmp_path / "km"
+        assert run(["km", "--data", str(data), f"--alpha={alpha}",
+                    "--out-dir", str(out)]) == 2
+        assert "alpha must lie in (0, 1)" in capsys.readouterr().err
+        assert not list(out.glob("km*"))
+
     def test_missing_file_exit_2(self, tmp_path):
         code = run(["km", "--data", str(tmp_path / "nope.csv"),
                     "--out-dir", str(tmp_path)])

@@ -230,6 +230,11 @@ class TestKaplanMeier:
         with pytest.raises(ValueError, match=message):
             kaplan_meier(times, events)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -1.0, 1.5, np.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            kaplan_meier([1, 2, 3], [1, 0, 1], alpha=alpha)
+
     def test_zero_survival_band_collapses(self):
         km = kaplan_meier([1, 2], [1, 1])
         assert km.survival[-1] == 0.0

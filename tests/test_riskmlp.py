@@ -12,7 +12,7 @@ from coxkit.riskmlp import (
     RiskNetwork,
     SELU_ALPHA,
     SELU_LAMBDA,
-    _INFER_BLOCK_ROWS,
+    _BLOCK_ROWS,
     _activate,
     backward,
     cox_loss,
@@ -93,17 +93,20 @@ class TestInit:
             NetworkConfig(l2_coefficient=-1.0)
 
 
+def _activated(value, kind):
+    z = np.array([value])
+    _activate(z, kind)
+    return z[0]
+
+
 class TestForward:
     def test_activation_definitions(self):
-        assert _activate(np.array([0.0]), "selu")[0][0] == 0.0
-        assert _activate(np.array([-1.0]), "relu")[0][0] == 0.0
-        z = np.array([-2.0])
-        assert _activate(z, "selu")[0][0] == pytest.approx(
+        assert _activated(0.0, "selu") == 0.0
+        assert _activated(-1.0, "relu") == 0.0
+        assert _activated(-2.0, "selu") == pytest.approx(
             SELU_LAMBDA * SELU_ALPHA * (np.exp(-2.0) - 1.0), abs=1e-12
         )
-        assert _activate(np.array([1.3]), "selu")[0][0] == pytest.approx(
-            SELU_LAMBDA * 1.3, abs=1e-12
-        )
+        assert _activated(1.3, "selu") == pytest.approx(SELU_LAMBDA * 1.3, abs=1e-12)
 
     def test_train_equals_infer_without_dropout(self):
         net = init_network(NetworkConfig(hidden_layers=2, nodes_per_layer=5), d=4, seed=2)
@@ -178,8 +181,7 @@ class TestBlockedInference:
         width=st.integers(1, 64),
         d=st.integers(1, 12),
         rows=st.sampled_from(
-            [1, _INFER_BLOCK_ROWS - 1, _INFER_BLOCK_ROWS, _INFER_BLOCK_ROWS + 1,
-             2 * _INFER_BLOCK_ROWS + 3]
+            [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]
         ),
         seed=st.integers(0, 2**16),
     )
@@ -222,18 +224,16 @@ class TestBranchFreeActivation:
     @example(_SPECIAL_PRE_ACTIVATIONS, "selu")
     def test_matches_two_branch_oracle(self, values, kind):
         z = np.array(values).reshape(-1, 1)
+        h, h_infer, deriv = z.copy(), z.copy(), np.empty_like(z)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            h, deriv = _activate(z, kind, grad=True)
-            h_infer, no_deriv = _activate(z, kind)
+            assert _activate(h, kind, deriv) is None
+            assert _activate(h_infer, kind) is None
             want_h = two_branch_activate(z, kind)
             want_deriv = two_branch_activate_grad(z, kind)
-        assert no_deriv is None
         assert _bitwise_equal(h, want_h)
         assert _bitwise_equal(h_infer, want_h)
-        assert np.array_equal(deriv, want_deriv)
-        if kind == "selu":
-            assert _bitwise_equal(deriv, want_deriv)
+        assert _bitwise_equal(deriv, want_deriv)
         assert np.all(np.isfinite(h)) and np.all(np.isfinite(deriv))
 
 
@@ -259,7 +259,6 @@ def _cache_buffers(cache):
     """Every array a cache owns: all but the first layer input, the caller's x."""
     groups = (
         cache.layer_inputs[1:],
-        cache.pre_activations,
         cache.derivatives,
         cache.dropout_masks,
     )
@@ -270,7 +269,9 @@ class TestForwardBackwardOracle:
     """forward, forward_cached and backward equal the two-branch,
     out-of-place network of `helpers.reference_forward` bit for bit."""
 
-    @pytest.mark.parametrize("rows", [1, 2, 300, "1-D"])
+    @pytest.mark.parametrize(
+        "rows", [1, 2, 300, "1-D", _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]
+    )
     @pytest.mark.parametrize("dropout_rate", [0.0, 0.4])
     @pytest.mark.parametrize("hidden_layers", [1, 2, 3])
     @pytest.mark.parametrize("activation", ["relu", "selu"])
@@ -288,21 +289,21 @@ class TestForwardBackwardOracle:
         want_inputs, want_pre, want_masks = want_cache
         for got, want in zip(cache.layer_inputs, want_inputs):
             assert _bitwise_equal(got, want)
-        for got, want in zip(cache.pre_activations, want_pre):
-            assert _bitwise_equal(got, want)
         for got, want in zip(cache.dropout_masks, want_masks):
             if want is None:
                 assert got is None
             else:
                 assert got.dtype == bool
                 assert _bitwise_equal(got * (1.0 / (1.0 - dropout_rate)), want)
-        for got, z in zip(cache.derivatives, cache.pre_activations):
-            assert np.array_equal(got, two_branch_activate_grad(z, activation))
+        assert len(cache.derivatives) == len(want_pre) == hidden_layers
+        for got, z in zip(cache.derivatives, want_pre):
+            assert _bitwise_equal(got, two_branch_activate_grad(z, activation))
 
         cached = [a.copy() for a in _cache_buffers(cache)]
         grads = backward(net, cache, d_risk, net.config.l2_coefficient)
         want_w, want_b = reference_backward(net, want_cache, d_risk, net.config.l2_coefficient)
-        for got, want in zip(grads.weight_grads + grads.bias_grads, want_w + want_b):
+        assert len(grads) == len(want_w + want_b)
+        for got, want in zip(grads, want_w + want_b):
             assert _bitwise_equal(got, want)
 
         for got, want in zip(_cache_buffers(cache), cached):
@@ -444,9 +445,9 @@ class TestBackward:
         x = np.random.default_rng(18).normal(size=(6, 3))
         _, cache = forward_cached(net, x)
         grads = backward(net, cache, np.zeros(6), cfg.l2_coefficient)
-        for gw, w in zip(grads.weight_grads, net.weights):
+        for gw, w in zip(grads[:3], net.weights):
             assert np.allclose(gw, 2.0 * 0.3 * w, atol=1e-15)
-        for gb in grads.bias_grads:
+        for gb in grads[3:]:
             assert np.all(gb == 0.0)
 
     def test_relu_gates_at_zero_weights(self):
@@ -458,10 +459,11 @@ class TestBackward:
         _, cache = forward_cached(net, x)
         d_risk = np.ones(5)
         grads = backward(net, cache, d_risk, 0.0)
-        assert np.all(grads.weight_grads[0] == 0.0)  # relu'(0) = 0 blocks everything
-        assert np.all(grads.bias_grads[0] == 0.0)
-        assert np.all(grads.weight_grads[1] == 0.0)  # hidden activations are 0
-        assert grads.bias_grads[1][0] == pytest.approx(5.0)
+        w0_grad, w1_grad, b0_grad, b1_grad = grads
+        assert np.all(w0_grad == 0.0)  # relu'(0) = 0 blocks everything
+        assert np.all(b0_grad == 0.0)
+        assert np.all(w1_grad == 0.0)  # hidden activations are 0
+        assert b1_grad[0] == pytest.approx(5.0)
 
     @pytest.mark.parametrize("activation", ["relu", "selu"])
     def test_full_gradient_check(self, activation):
@@ -477,7 +479,8 @@ class TestBackward:
         for b in net.biases:
             b += rng.normal(scale=0.3, size=b.shape)
         risks, cache = forward_cached(net, ds.covariates)
-        assert min(np.abs(z).min() for z in cache.pre_activations) > 1e-4
+        _, (_, pre_activations, _) = reference_forward(net, ds.covariates, False, None)
+        assert min(np.abs(z).min() for z in pre_activations) > 1e-4
         grads = backward(
             net, cache, cox_loss_grad(risks, ds, view), cfg.l2_coefficient
         )
@@ -493,9 +496,7 @@ class TestBackward:
 
         flat0 = np.concatenate([a.ravel() for a in net.weights + net.biases])
         fd = numeric_gradient(loss_at, flat0)
-        analytic = np.concatenate(
-            [a.ravel() for a in grads.weight_grads + grads.bias_grads]
-        )
+        analytic = np.concatenate([a.ravel() for a in grads])
         assert np.all(np.abs(analytic - fd) <= 1e-5 * np.maximum(1.0, np.abs(fd)))
 
     def test_dropout_mask_consistency(self):
@@ -520,9 +521,7 @@ class TestBackward:
 
         flat0 = np.concatenate([a.ravel() for a in net.weights + net.biases])
         fd = numeric_gradient(loss_at, flat0)
-        analytic = np.concatenate(
-            [a.ravel() for a in grads.weight_grads + grads.bias_grads]
-        )
+        analytic = np.concatenate([a.ravel() for a in grads])
         assert np.all(np.abs(analytic - fd) <= 1e-5 * np.maximum(1.0, np.abs(fd)))
 
     def test_cache_mismatch(self):
