@@ -58,9 +58,9 @@ def config_hash(payload) -> str:
 
 
 def write_json(path, payload) -> None:
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def write_svg(path, svg: str, provenance: dict) -> None:
@@ -132,20 +132,13 @@ def cmd_simulate(args) -> int:
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    """Where `train` gets its patients: a CSV file or a simulation."""
+    """Where `train` gets its patients: a CSV file and an optional true-risk sidecar."""
 
-    csv: str | None = None
+    csv: str
     time_col: str = "time"
     event_col: str = "event"
     treatment_col: str | None = "treatment"
     risks_csv: str | None = None
-    simulate: SimulationSpec | None = None
-
-    def __post_init__(self):
-        if (self.csv is None) == (self.simulate is None):
-            raise ValueError("csv or simulate must be set, and not both")
-        if self.risks_csv is not None and self.simulate is not None:
-            raise ValueError("risks_csv must be null when simulate is set")
 
 
 @dataclass(frozen=True)
@@ -258,25 +251,20 @@ def _load_json(path, what: str):
 
 
 def _read_json(path, cls, what: str):
-    """The JSON file at `path` and the `cls` built from it; faults exit 2."""
+    """The `cls` built from the JSON file at `path`; faults exit 2."""
     raw = _load_json(path, what)
     try:
-        return raw, _from_json(cls, raw, "")
+        return _from_json(cls, raw, "")
     except UsageError as exc:
         raise UsageError(f"bad {what}: {exc}") from None
 
 
 def load_config(path, seed_override=None, out_dir_override=None) -> dict:
     """The effective train config: what `train` runs and its provenance hashes."""
-    user, config = _read_json(path, TrainConfig, "config")
-    cfg = asdict(config)
-    # as written, so that a default SimulationSpec gains does not change the hash
-    cfg["dataset"]["simulate"] = user["dataset"].get("simulate")
+    cfg = asdict(_read_json(path, TrainConfig, "config"))
     if seed_override is not None:
         for section in SEEDED_SECTIONS:
             cfg[section]["seed"] = seed_override
-        if cfg["dataset"]["simulate"] is not None:
-            cfg["dataset"]["simulate"]["seed"] = seed_override
     if out_dir_override is not None:
         cfg["out_dir"] = out_dir_override
     return cfg
@@ -284,9 +272,6 @@ def load_config(path, seed_override=None, out_dir_override=None) -> dict:
 
 def _load_source(dataset: DatasetConfig):
     """Dataset plus optional aligned ground-truth risks."""
-    if dataset.simulate is not None:
-        sim = generate(dataset.simulate)
-        return sim.dataset, sim.true_risks
     ds = load_csv(dataset.csv, dataset.time_col, dataset.event_col, dataset.treatment_col)
     risks = None
     if dataset.risks_csv is not None:
@@ -351,32 +336,6 @@ def cmd_train(args) -> int:
     else:
         model, history = optim.train(train_ds, config.network, config.optimizer, val_ds)
     test_risks = recommend.predict(model, test_ds.covariates)
-
-    model_payload = {
-        "model_type": config.model,
-        **MODEL_KINDS[config.model].to_dict(model),
-        "feature_names": list(test_ds.feature_names),
-        "standardization": standardization,
-        "provenance": prov,
-    }
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "model.json", model_payload)
-
-    if history is not None:
-        header = ["epoch", "learning_rate", "train_loss"]
-        columns = [
-            np.arange(len(history.train_loss)),
-            history.learning_rates,
-            history.train_loss,
-        ]
-        if history.val_cindex is not None:
-            header.append("val_cindex")
-            columns.append(history.val_cindex)
-        write_columns(
-            out_dir / "history.csv", header, columns, comment=canonical_json(prov)
-        )
-
     c_index = metrics.concordance_index(test_ds.times, test_ds.events, test_risks)
     interval = metrics.bootstrap_ci(
         test_ds.times,
@@ -402,6 +361,32 @@ def cmd_train(args) -> int:
     }
     if risk_parts[2] is not None:
         report["risk_mse"] = metrics.risk_mse(test_risks, risk_parts[2])
+
+    # every metric above may fail, so nothing is written before them
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_json(
+        out_dir / "model.json",
+        {
+            "model_type": config.model,
+            **MODEL_KINDS[config.model].to_dict(model),
+            "feature_names": list(test_ds.feature_names),
+            "standardization": standardization,
+            "provenance": prov,
+        },
+    )
+    if history is not None:
+        write_columns(
+            out_dir / "history.csv",
+            ["epoch", "learning_rate", "train_loss", "val_cindex"],
+            [
+                np.arange(len(history.train_loss)),
+                history.learning_rates,
+                history.train_loss,
+                history.val_cindex,
+            ],
+            comment=canonical_json(prov),
+        )
     write_json(out_dir / "metrics.json", report)
     print(
         f"train[{config.model}]: test C-index {c_index:.4f} "
@@ -420,7 +405,7 @@ def cmd_search(args) -> int:
     ds, _ = _model_inputs(ds, standardize_fit(ds) if args.standardize else None)
     space = optim.SearchSpace()
     if args.space is not None:
-        _, space = _read_json(args.space, optim.SearchSpace, "search space")
+        space = _read_json(args.space, optim.SearchSpace, "search space")
 
     effective = {
         "data": str(args.data),
@@ -581,12 +566,10 @@ def cmd_km(args) -> int:
             raise UsageError(
                 f"groups {files[name]!r} and {label!r} would both be written to {name}"
             )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     curves = []
     summary = {}
-    for (label, mask), name in zip(labelled, files):
+    for label, mask in labelled:
         curve = metrics.kaplan_meier(times[mask], events[mask], alpha=args.alpha)
         curves.append((label, curve))
         summary[label] = {
@@ -594,7 +577,6 @@ def cmd_km(args) -> int:
             "events": int(events[mask].sum()),
             "median_survival": metrics.median_survival(curve),
         }
-        metrics.write_km_csv(curve, out_dir / name, comment=canonical_json(prov))
 
     log_rank_payload = None
     p_value = None
@@ -605,6 +587,12 @@ def cmd_km(args) -> int:
         )
         log_rank_payload = {"statistic": result.statistic, "p_value": result.p_value}
         p_value = result.p_value
+
+    # every curve and test above may fail, so nothing is written before them
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for (_, curve), name in zip(curves, files):
+        metrics.write_km_csv(curve, out_dir / name, comment=canonical_json(prov))
     write_json(
         out_dir / "km.json",
         {"groups": summary, "log_rank": log_rank_payload, "provenance": prov},

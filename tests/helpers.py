@@ -389,13 +389,10 @@ def reference_write_true_risks(true_risks, path, comment):
 
 def reference_write_history(history, path, comment):
     """The oracle for the `history.csv` that `coxkit train` writes."""
-    header = ["epoch", "learning_rate", "train_loss"]
-    if history.val_cindex is not None:
-        header.append("val_cindex")
-    rows = []
-    for epoch, loss in enumerate(history.train_loss):
-        row = [epoch, repr(history.learning_rates[epoch]), repr(loss)]
-        if history.val_cindex is not None:
-            row.append(repr(history.val_cindex[epoch]))
-        rows.append(row)
+    header = ["epoch", "learning_rate", "train_loss", "val_cindex"]
+    rows = [
+        [epoch, repr(history.learning_rates[epoch]), repr(loss),
+         repr(history.val_cindex[epoch])]
+        for epoch, loss in enumerate(history.train_loss)
+    ]
     _write_rows(path, header, rows, comment)

@@ -405,9 +405,8 @@ def test_criterion_10_cli_reproducibility(tmp_path):
 
     train_dir = tmp_path / "train"
     config = {
-        "dataset": {"simulate": {"n": 400, "d": 4, "risk_kind": "gaussian",
-                                  "lambda_max": 10.0, "r": 0.5,
-                                  "with_treatment": True, "seed": 19}},
+        "dataset": {"csv": str(sim_dir / "dataset.csv"),
+                    "risks_csv": str(sim_dir / "true_risks.csv")},
         "model": "deep_cox",
         "network": {"hidden_layers": 1, "nodes_per_layer": 8, "activation": "selu",
                     "dropout_rate": 0.2},

@@ -22,7 +22,7 @@ from coxkit.cli import (
     main,
     write_svg,
 )
-from coxkit.data import load_csv, write_csv
+from coxkit.data import load_csv, write_columns, write_csv
 from coxkit.metrics import kaplan_meier
 from coxkit.plots import render_km_svg
 from coxkit.simulate import SimulationSpec, generate
@@ -41,11 +41,22 @@ def read_bytes(path):
     return path.read_bytes()
 
 
+def write_cohort(directory, spec):
+    """The dataset section of a train config reading `spec`'s simulated cohort,
+    written to `directory` as `coxkit simulate` writes it."""
+    directory.mkdir(exist_ok=True)
+    sim = generate(spec)
+    write_csv(sim.dataset, directory / "dataset.csv")
+    write_columns(directory / "true_risks.csv", ["true_risk"], [sim.true_risks])
+    return {"csv": str(directory / "dataset.csv"),
+            "risks_csv": str(directory / "true_risks.csv")}
+
+
 def make_train_config(tmp_path, **overrides):
     cfg = {
-        "dataset": {
-            "simulate": {"n": 240, "d": 4, "risk_kind": "linear", "seed": 3}
-        },
+        "dataset": write_cohort(
+            tmp_path / "cohort", SimulationSpec(n=240, d=4, risk_kind="linear", seed=3)
+        ),
         "split": {"fractions": [0.5, 0.25, 0.25], "seed": 1},
         "model": "deep_cox",
         "network": {"hidden_layers": 1, "nodes_per_layer": 4, "activation": "selu"},
@@ -73,17 +84,11 @@ INT, NUMBER, TEXT, BOOL, OBJECT = {"int"}, {"int", "float"}, {"string"}, {"bool"
 CONFIG_KINDS = {
     "schema_version": INT,
     "dataset": OBJECT,
-    "dataset.csv": TEXT | {"null"},
+    "dataset.csv": TEXT,
     "dataset.time_col": TEXT,
     "dataset.event_col": TEXT,
     "dataset.treatment_col": TEXT | {"null"},
     "dataset.risks_csv": TEXT | {"null"},
-    "dataset.simulate": OBJECT | {"null"},
-    **{f"dataset.simulate.{k}": INT for k in ("n", "d", "seed")},
-    "dataset.simulate.risk_kind": TEXT,
-    **{f"dataset.simulate.{k}": NUMBER
-       for k in ("lambda_max", "r", "mean_u", "observed_fraction")},
-    "dataset.simulate.with_treatment": BOOL,
     "split": OBJECT,
     "split.fractions": {"array"},
     **{f"split.fractions[{i}]": NUMBER for i in range(3)},
@@ -188,8 +193,8 @@ class TestParser:
     def test_config_hash_pinned(self, tmp_path):
         # the defaults, network and optimizer included, are part of the hash
         path = tmp_path / "c.json"
-        path.write_text('{"dataset": {"simulate": {"n": 50, "d": 2, "seed": 1}}}')
-        assert config_hash(load_config(path)) == "1b2ed6c22f314d30"
+        path.write_text('{"dataset": {"csv": "dataset.csv"}}')
+        assert config_hash(load_config(path)) == "059f16b5206d7919"
 
     def test_commands_default_to_working_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -280,7 +285,7 @@ class TestTrainCommand:
         metrics = json.loads((out / "metrics.json").read_text())
         assert {"c_index", "ci_lower", "ci_upper", "risk_mse"} <= set(metrics)
         assert metrics["bootstrap_redraws"] == 0
-        assert metrics["risk_mse"] is not None  # simulation carries true risks
+        assert metrics["risk_mse"] is not None  # the cohort has a true-risk sidecar
         model = json.loads((out / "model.json").read_text())
         assert model["model_type"] == "deep_cox"
         assert len(model["layers"]) == 2
@@ -288,17 +293,12 @@ class TestTrainCommand:
         assert history[1] == "epoch,learning_rate,train_loss,val_cindex"
         assert len(history) == 2 + 30
 
-    @pytest.mark.parametrize("with_val_cindex", [True, False])
-    def test_history_matches_row_writer(self, tmp_path, monkeypatch, with_val_cindex):
-        # the CLI always validates; dropping val_cindex from the history it
-        # gets covers the writer's three-column layout too
+    def test_history_matches_row_writer(self, tmp_path, monkeypatch):
         histories = []
         train = optim.train
 
         def spy(*args, **kwargs):
             net, history = train(*args, **kwargs)
-            if not with_val_cindex:
-                history = dataclasses.replace(history, val_cindex=None)
             histories.append(history)
             return net, history
 
@@ -311,8 +311,6 @@ class TestTrainCommand:
             histories[0], tmp_path / "history.csv", canonical_json(provenance)
         )
         assert read_bytes(out / "history.csv") == read_bytes(tmp_path / "history.csv")
-        header = (out / "history.csv").read_text().splitlines()[1]
-        assert header.endswith(",val_cindex") == with_val_cindex
 
     def test_linear_model(self, tmp_path):
         config = make_train_config(tmp_path, model="linear_cph")
@@ -357,6 +355,23 @@ class TestTrainCommand:
         metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
         assert metrics["risk_mse"] is not None
 
+    @pytest.mark.parametrize("model", ["deep_cox", "linear_cph"])
+    def test_metric_fault_writes_nothing(self, tmp_path, capsys, model):
+        # one event in 12 patients: the test split has no comparable pair
+        sim_dir = tmp_path / "sim"
+        assert run(["simulate", "--risk", "linear", "--n", "12", "--d", "2",
+                    "--observed-fraction", "0.1", "--seed", "1",
+                    "--out-dir", str(sim_dir)]) == 0
+        config = make_train_config(
+            tmp_path,
+            dataset={"csv": str(sim_dir / "dataset.csv")},
+            split={"fractions": [0.6, 0.2, 0.2], "seed": 0},
+            model=model,
+        )
+        assert run(["train", "--config", str(config)]) == 2
+        assert "no comparable pairs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "risks, message",
         [
@@ -387,29 +402,27 @@ class TestTrainCommand:
         assert run(["train", "--config", str(config)]) == 2
 
     @pytest.mark.parametrize(
-        "override, flags, message",
+        "override, message",
         [
-            ({"split": {"fractions": 5}}, [],
+            ({"split": {"fractions": 5}},
              "bad config: split.fractions must be an array of 3 entries, got 5"),
-            ({"evaluation": {"bootstrap_replicates": "x"}}, [],
+            ({"evaluation": {"bootstrap_replicates": "x"}},
              "bad config: evaluation.bootstrap_replicates must be an integer, got 'x'"),
-            ({"split": 5}, [], "bad config: split must be a JSON object, got 5"),
-            ({"dataset": {"simulate": 5}}, ["--seed", "3"],
-             "bad config: dataset.simulate must be a JSON object or null, got 5"),
-            ({"dataset": {"csv": 5}}, [],  # open(5) would read file descriptor 5
-             "bad config: dataset.csv must be a string or null, got 5"),
-            ({"split": {"fractions": [0.5, None, 0.5]}}, [],
+            ({"split": 5}, "bad config: split must be a JSON object, got 5"),
+            ({"dataset": {"csv": 5}},  # open(5) would read file descriptor 5
+             "bad config: dataset.csv must be a string, got 5"),
+            ({"split": {"fractions": [0.5, None, 0.5]}},
              "bad config: split.fractions[1] must be a number, got None"),
-            ({"out_dir": 5}, [], "bad config: out_dir must be a string, got 5"),
-            ({"standardize": "no"}, [],
+            ({"out_dir": 5}, "bad config: out_dir must be a string, got 5"),
+            ({"standardize": "no"},
              "bad config: standardize must be true or false, got 'no'"),
         ],
-        ids=["fractions", "bootstrap-replicates", "split-section", "simulate-seeded",
-             "csv-number", "fraction-null", "out-dir", "standardize"],
+        ids=["fractions", "bootstrap-replicates", "split-section", "csv-number",
+             "fraction-null", "out-dir", "standardize"],
     )
-    def test_wrong_json_type_exit_2(self, tmp_path, capsys, override, flags, message):
+    def test_wrong_json_type_exit_2(self, tmp_path, capsys, override, message):
         config = make_train_config(tmp_path, **override)
-        assert run(["train", "--config", str(config), *flags]) == 2
+        assert run(["train", "--config", str(config)]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -418,15 +431,13 @@ class TestTrainCommand:
         [
             ({"optimizer": {"epochs": 2.5}}, "optimizer.epochs"),
             ({"optimizer": {"batch_size": 64.5}}, "optimizer.batch_size"),
-            ({"dataset": {"simulate": {"n": 120.5}}}, "dataset.simulate.n"),
             ({"optimizer": {"epochs": True}}, "optimizer.epochs"),
             ({"network": {"hidden_layers": True}}, "network.hidden_layers"),
             ({"optimizer": {"clip_norm": True}}, "optimizer.clip_norm"),
-            ({"dataset": {"simulate": {"n": 240, "d": 4, "with_treatment": 1}}},
-             "dataset.simulate.with_treatment"),
             ({"schema_version": True}, "schema_version"),
-            ({"dataset": {"simulate": {"n": 240, "d": 4}, "risks_csv": "nope.csv"}},
-             "dataset.risks_csv"),
+            ({"dataset": {"csv": "d.csv", "simulate": {"n": 240, "d": 4}}},
+             "dataset.simulate"),
+            ({"dataset": {"risks_csv": "r.csv"}}, "dataset.csv"),
             ({"model": "linear_cph", "network": {"hidden_layers": 0}},
              "network.hidden_layers"),
             ({"model": "bogus"}, "model"),
@@ -435,11 +446,10 @@ class TestTrainCommand:
             ({"evaluation": {"alpha": 0}}, "evaluation.alpha"),
             ({"evaluation": {"bootstrap_replicates": 1}}, "evaluation.bootstrap_replicates"),
         ],
-        ids=["epochs-float", "batch-size-float", "simulate-n-float", "epochs-bool",
-             "hidden-layers-bool", "clip-norm-bool", "with-treatment-int",
-             "schema-version-bool", "risks-csv-with-simulate", "linear-cph-network",
-             "unknown-model", "schema-version-2", "alpha-above-1", "alpha-0",
-             "one-bootstrap-replicate"],
+        ids=["epochs-float", "batch-size-float", "epochs-bool", "hidden-layers-bool",
+             "clip-norm-bool", "schema-version-bool", "simulate-block", "csv-missing",
+             "linear-cph-network", "unknown-model", "schema-version-2", "alpha-above-1",
+             "alpha-0", "one-bootstrap-replicate"],
     )
     def test_config_fault_exit_2_before_any_work(
         self, tmp_path, capsys, monkeypatch, override, key
@@ -581,9 +591,11 @@ def train_treatment_model(tmp_path, model):
     """Train `model` on a treatment dataset; its model file and fresh data."""
     config = make_train_config(
         tmp_path,
-        dataset={"simulate": {"n": 400, "d": 4, "risk_kind": "gaussian",
-                               "lambda_max": 10.0, "r": 0.5,
-                               "with_treatment": True, "seed": 11}},
+        dataset=write_cohort(
+            tmp_path / "treatment",
+            SimulationSpec(n=400, d=4, risk_kind="gaussian", lambda_max=10.0,
+                           r=0.5, with_treatment=True, seed=11),
+        ),
         model=model,
         optimizer={"kind": "adam", "learning_rate": 0.01, "epochs": 60, "seed": 2},
     )
@@ -976,7 +988,17 @@ class TestKmCommand:
         assert run(["km", "--data", str(data), f"--alpha={alpha}",
                     "--out-dir", str(out)]) == 2
         assert "alpha must lie in (0, 1)" in capsys.readouterr().err
-        assert not list(out.glob("km*"))
+        assert not out.exists()
+
+    def test_log_rank_fault_writes_nothing(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        rows = [f"{1 + i % 7}.5,0,{i % 2}" for i in range(40)]
+        data.write_text("time,event,treatment\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "km"
+        assert run(["km", "--data", str(data), "--group-by", "treatment",
+                    "--out-dir", str(out)]) == 2
+        assert "log-rank needs at least one observed event" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_exit_2(self, tmp_path):
         code = run(["km", "--data", str(tmp_path / "nope.csv"),
