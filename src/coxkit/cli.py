@@ -1,6 +1,6 @@
 """Command-line driver: simulate, train, search, recommend, km.
 
-Every command writes plain JSON/CSV (and optionally SVG) artifacts that embed
+Every command writes plain JSON/CSV/SVG artifacts that embed
 a provenance block (config hash plus seeds) and contain no timestamps, so
 rerunning a command with identical inputs reproduces byte-identical files.
 
@@ -23,8 +23,6 @@ import numpy as np
 
 from coxkit import coxlinear, metrics, optim, recommend, riskmlp
 from coxkit.data import (
-    CsvParseError,
-    SchemaError,
     StandardizationParams,
     append_treatment_feature,
     load_csv,
@@ -92,7 +90,6 @@ def cmd_simulate(args) -> int:
         risk_kind=args.risk,
         lambda_max=args.lambda_max,
         r=args.r,
-        mean_u=args.mean_u,
         observed_fraction=args.observed_fraction,
         with_treatment=args.with_treatment,
         seed=0 if args.seed is None else args.seed,
@@ -171,7 +168,6 @@ class TrainConfig:
     dataset: DatasetConfig
     schema_version: int = SCHEMA_VERSION
     split: SplitConfig = SplitConfig()
-    standardize: bool = True
     model: str = "deep_cox"
     network: riskmlp.NetworkConfig = riskmlp.NetworkConfig()
     optimizer: optim.OptimizerConfig = optim.OptimizerConfig()
@@ -208,8 +204,7 @@ def _from_json(cls, value, path: str):
     elif get_origin(cls) is tuple:  # of one type: `tuple[X, X]` or `tuple[X, ...]`
         size = None if args[-1] is Ellipsis else len(args)
         kind = f"an array of {size} entries" if size else "an array"
-        # a tuple too: `train` checks the effective config, which `asdict` made
-        ok = isinstance(value, (list, tuple)) and size in (None, len(value))
+        ok = isinstance(value, list) and size in (None, len(value))
     else:
         kind = _KINDS[cls]
         ok = isinstance(value, (int, float) if cls is float else cls)
@@ -259,15 +254,17 @@ def _read_json(path, cls, what: str):
         raise UsageError(f"bad {what}: {exc}") from None
 
 
-def load_config(path, seed_override=None, out_dir_override=None) -> dict:
+def load_config(path, seed_override=None, out_dir_override=None) -> TrainConfig:
     """The effective train config: what `train` runs and its provenance hashes."""
-    cfg = asdict(_read_json(path, TrainConfig, "config"))
+    config = _read_json(path, TrainConfig, "config")
     if seed_override is not None:
-        for section in SEEDED_SECTIONS:
-            cfg[section]["seed"] = seed_override
+        config = replace(config, **{
+            section: replace(getattr(config, section), seed=seed_override)
+            for section in SEEDED_SECTIONS
+        })
     if out_dir_override is not None:
-        cfg["out_dir"] = out_dir_override
-    return cfg
+        config = replace(config, out_dir=out_dir_override)
+    return config
 
 
 def _load_source(dataset: DatasetConfig):
@@ -288,47 +285,38 @@ def _load_data(args):
     return load_csv(args.data, args.time_col, args.event_col, args.treatment_col)
 
 
-def _model_inputs(ds, params: StandardizationParams | None):
+def _model_inputs(ds, params: StandardizationParams):
     """The model's inputs from `ds`, and the treatment feature's column or None.
 
-    Covariates are standardized by `params` (unless None) before the treatment
-    label is appended as the last feature, so labels are never rescaled; train,
-    search and recommend all build their inputs here.
+    Covariates are standardized by `params` before the treatment label is
+    appended as the last feature, so labels are never rescaled; train, search
+    and recommend all build their inputs here.
     """
-    if params is not None:
-        ds = standardize_apply(ds, params)
+    ds = standardize_apply(ds, params)
     if ds.treatments is None:
         return ds, None
     return append_treatment_feature(ds)
 
 
 def _prepare_splits(config: TrainConfig):
-    """Load, split, standardize, and append the treatment feature."""
+    """Load, split, standardize, and append the treatment feature; the three
+    parts, the test part's true risks (or None) and the standardization."""
     ds, true_risks = _load_source(config.dataset)
     idx = split_indices(ds.n, config.split.fractions, config.split.seed)
     parts = [ds.subset(i) for i in idx]
-    risk_parts = [None, None, None]
-    if true_risks is not None:
-        risk_parts = [true_risks[i] for i in idx]
-
-    params = standardize_fit(parts[0]) if config.standardize else None
+    params = standardize_fit(parts[0])
     parts = [_model_inputs(p, params)[0] for p in parts]
-    standardization = None
-    if params is not None:
-        standardization = {
-            "means": params.means.tolist(),
-            "stddevs": params.stddevs.tolist(),
-        }
-    return parts, risk_parts, standardization
+    test_risks = None if true_risks is None else true_risks[idx[2]]
+    standardization = {"means": params.means.tolist(), "stddevs": params.stddevs.tolist()}
+    return parts, test_risks, standardization
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config, args.seed, args.out_dir)
-    config = _from_json(TrainConfig, cfg, "")
-    seeds = {section: cfg[section]["seed"] for section in SEEDED_SECTIONS}
-    prov = _provenance("train", cfg, seeds)
+    config = load_config(args.config, args.seed, args.out_dir)
+    seeds = {section: getattr(config, section).seed for section in SEEDED_SECTIONS}
+    prov = _provenance("train", asdict(config), seeds)
 
-    (train_ds, val_ds, test_ds), risk_parts, standardization = _prepare_splits(config)
+    (train_ds, val_ds, test_ds), true_risks, standardization = _prepare_splits(config)
 
     history = None
     if config.model == "linear_cph":
@@ -359,8 +347,8 @@ def cmd_train(args) -> int:
         "risk_mse": None,
         "provenance": prov,
     }
-    if risk_parts[2] is not None:
-        report["risk_mse"] = metrics.risk_mse(test_risks, risk_parts[2])
+    if true_risks is not None:
+        report["risk_mse"] = metrics.risk_mse(test_risks, true_risks)
 
     # every metric above may fail, so nothing is written before them
     out_dir = Path(config.out_dir)
@@ -402,7 +390,7 @@ def cmd_train(args) -> int:
 def cmd_search(args) -> int:
     seed = 0 if args.seed is None else args.seed
     ds = _load_data(args)
-    ds, _ = _model_inputs(ds, standardize_fit(ds) if args.standardize else None)
+    ds, _ = _model_inputs(ds, standardize_fit(ds))
     space = optim.SearchSpace()
     if args.space is not None:
         space = _read_json(args.space, optim.SearchSpace, "search space")
@@ -415,21 +403,17 @@ def cmd_search(args) -> int:
         "epochs": args.epochs,
         "optimizer": args.optimizer,
         "seed": seed,
-        "standardize": args.standardize,
     }
     prov = _provenance("search", effective, {"search": seed})
-    try:
-        best_net, best_opt, trials, best_index = optim.random_search(
-            space,
-            ds,
-            k=args.k,
-            n_trials=args.trials,
-            seed=seed,
-            epochs=args.epochs,
-            optimizer_kind=args.optimizer,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    best_net, best_opt, trials, best_index = optim.random_search(
+        space,
+        ds,
+        k=args.k,
+        n_trials=args.trials,
+        seed=seed,
+        epochs=args.epochs,
+        optimizer_kind=args.optimizer,
+    )
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -479,7 +463,7 @@ def _read_model(path):
         if unknown:
             raise ValueError(f"unknown keys {unknown}")
         std = payload["standardization"]
-        params = None if std is None else StandardizationParams(std["means"], std["stddevs"])
+        params = StandardizationParams(std["means"], std["stddevs"])
         names = tuple(payload["feature_names"])
         return model, names, params, payload["provenance"]["config_hash"]
     except (LookupError, TypeError, ValueError) as exc:
@@ -518,13 +502,12 @@ def cmd_recommend(args) -> int:
     for label, curve in curves:  # km_recommendation.csv, km_anti_recommendation.csv
         name = "km_" + label.lower().replace("-", "_") + ".csv"
         metrics.write_km_csv(curve, out_dir / name, comment=canonical_json(prov))
-    if not args.no_svg:
-        svg = render_km_svg(
-            curves,
-            title="Survival by recommendation concordance",
-            p_value=report.log_rank_result.p_value,
-        )
-        write_svg(out_dir / "recommendation.svg", svg, prov)
+    svg = render_km_svg(
+        curves,
+        title="Survival by recommendation concordance",
+        p_value=report.log_rank_result.p_value,
+    )
+    write_svg(out_dir / "recommendation.svg", svg, prov)
     medians = body["median_survival"]
     print(
         f"recommend: median survival {medians['recommendation']} (Rec) vs "
@@ -597,9 +580,8 @@ def cmd_km(args) -> int:
         out_dir / "km.json",
         {"groups": summary, "log_rank": log_rank_payload, "provenance": prov},
     )
-    if not args.no_svg:
-        svg = render_km_svg(curves, title="Kaplan-Meier survival", p_value=p_value)
-        write_svg(out_dir / "km.svg", svg, prov)
+    svg = render_km_svg(curves, title="Kaplan-Meier survival", p_value=p_value)
+    write_svg(out_dir / "km.svg", svg, prov)
     print(f"km: wrote {len(curves)} curve(s) to {out_dir}")
     return 0
 
@@ -634,7 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--d", type=int, default=10, help="number of covariates")
     p_sim.add_argument("--lambda-max", type=float, default=5.0)
     p_sim.add_argument("--r", type=float, default=0.5)
-    p_sim.add_argument("--mean-u", type=float, default=5.0)
     p_sim.add_argument("--observed-fraction", type=float, default=0.9)
     p_sim.add_argument("--with-treatment", action="store_true")
     p_sim.set_defaults(func=cmd_simulate)
@@ -652,23 +633,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--epochs", type=int, default=200)
     p_search.add_argument("--optimizer", choices=["adam", "sgd"], default="adam")
     p_search.add_argument("--space", default=None, help="search-space JSON file")
-    p_search.add_argument(
-        "--no-standardize", dest="standardize", action="store_false",
-        help="skip standardization (fit on the full dataset before folding)",
-    )
     p_search.set_defaults(func=cmd_search)
 
     p_rec = sub.add_parser(
         "recommend", parents=[out, treated], help="evaluate treatment recommendations"
     )
     p_rec.add_argument("--model", required=True, help="model JSON from train")
-    p_rec.add_argument("--no-svg", action="store_true")
     p_rec.set_defaults(func=cmd_recommend)
 
     p_km = sub.add_parser("km", parents=[out, columns], help="Kaplan-Meier curves")
     p_km.add_argument("--group-by", default=None, help="column defining curve groups")
     p_km.add_argument("--alpha", type=float, default=0.05)
-    p_km.add_argument("--no-svg", action="store_true")
     p_km.set_defaults(func=cmd_km)
     return parser
 
@@ -678,12 +653,14 @@ def main(argv=None) -> int:
     optim._cap_blas_threads(1)
     parser = build_parser()
     args = parser.parse_args(argv)
+    # UsageError, SchemaError and CsvParseError are ValueErrors;
+    # TrainingDiverged and FitError are RuntimeErrors
     try:
         return args.func(args)
-    except (UsageError, SchemaError, CsvParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (optim.TrainingDiverged, coxlinear.FitError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

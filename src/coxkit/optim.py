@@ -37,9 +37,6 @@ class OptimizerConfig:
     learning_rate: float = 1e-2
     lr_decay_rate: float = 0.0
     momentum: float = 0.9
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     clip_norm: float | None = None
     epochs: int = 500
     batch_size: int | None = None
@@ -129,8 +126,11 @@ class _SgdNesterov:
 
 
 class _Adam:
-    def __init__(self, params, beta1, beta2, eps):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    """Adam with the published defaults (Kingma & Ba 2015)."""
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params):
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
@@ -150,7 +150,7 @@ class _Adam:
 def _make_optimizer(params, cfg: OptimizerConfig):
     if cfg.kind == "sgd":
         return _SgdNesterov(params, cfg.momentum)
-    return _Adam(params, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon)
+    return _Adam(params)
 
 
 def _derive_seeds(seed: int, n: int) -> list[int]:

@@ -1,7 +1,7 @@
 """Synthetic right-censored survival data with known ground-truth risk.
 
 Covariates are uniform on [-1, 1)^d. A raw death time is drawn as
-``T = u / exp(h(x))`` with ``u`` exponential (mean `mean_u`); when a
+``T = u / exp(h(x))`` with ``u`` exponential (mean `MEAN_U` = 5); when a
 treatment arm is simulated the exponent becomes ``tau * h(x)`` with
 ``tau ~ Bernoulli(0.5)``, so the control group is unaffected by the
 covariates. Times are right-censored at the empirical quantile of the raw
@@ -17,7 +17,7 @@ import numpy as np
 from coxkit.data import SurvivalDataset
 
 DEFAULT_COVARIATE_DIM = 10
-DEFAULT_MEAN_U = 5.0
+MEAN_U = 5.0
 DEFAULT_OBSERVED_FRACTION = 0.9
 
 
@@ -30,7 +30,6 @@ class SimulationSpec:
     risk_kind: str = "linear"
     lambda_max: float = 5.0
     r: float = 0.5
-    mean_u: float = DEFAULT_MEAN_U
     observed_fraction: float = DEFAULT_OBSERVED_FRACTION
     with_treatment: bool = False
     seed: int = 0
@@ -44,8 +43,6 @@ class SimulationSpec:
             raise ValueError(f"risk_kind {self.risk_kind!r} is not linear or gaussian")
         if self.lambda_max <= 0 or self.r <= 0:
             raise ValueError("lambda_max and r must be positive")
-        if self.mean_u <= 0:
-            raise ValueError("mean_u must be positive")
         if not 0.0 < self.observed_fraction < 1.0:
             raise ValueError("observed_fraction must lie in (0, 1)")
 
@@ -108,9 +105,9 @@ def generate(spec: SimulationSpec) -> SimulatedDataset:
         treatments = rng.integers(0, 2, size=spec.n)
         h = treatments * h
 
-    # u ~ Exp(mean_u) via inverse CDF; rng.random() is in [0, 1) so the
+    # u ~ Exp(MEAN_U) via inverse CDF; rng.random() is in [0, 1) so the
     # argument of log stays in (0, 1].
-    u = -spec.mean_u * np.log1p(-rng.random(spec.n))
+    u = -MEAN_U * np.log1p(-rng.random(spec.n))
     raw = u / np.exp(h)
     raw = np.maximum(raw, np.finfo(float).tiny)
 

@@ -86,14 +86,14 @@ class TestOptimizers:
         rng = np.random.default_rng(2)
         params = [rng.normal(size=(2, 2))]
         frozen = [a.copy() for a in params]
-        opt = _Adam(params, 0.9, 0.999, 1e-8)
+        opt = _Adam(params)
         for _ in range(5):
             opt.step(params, [np.zeros((2, 2))], lr=0.1)
         assert np.array_equal(params[0], frozen[0])
 
     def test_adam_moves_against_gradient(self):
         params = [np.zeros(2)]
-        opt = _Adam(params, 0.9, 0.999, 1e-8)
+        opt = _Adam(params)
         opt.step(params, [np.array([1.0, -1.0])], lr=0.1)
         assert params[0][0] < 0 < params[0][1]
 
