@@ -84,39 +84,27 @@ def fit_cph(ds: SurvivalDataset) -> LinearCoxModel:
     converged = False
     diverged = False
     for iterations in range(1, MAX_ITER + 1):
-        singular = False
-        step = None
         try:
-            step = np.linalg.solve(hess, grad)
+            step = -np.linalg.solve(hess, grad)  # hess is negative definite at a maximum
         except np.linalg.LinAlgError:
-            singular = True
-        if step is not None and (
-            not np.all(np.isfinite(step)) or np.linalg.cond(hess) > 1e12
-        ):
-            singular = True
-        if singular:
-            if (
-                np.max(np.abs(beta)) > _MONOTONE_BETA
-                and np.max(np.abs(grad)) < 1e-6
-            ):
+            step = np.full(ds.d, np.nan)
+        if not np.all(np.isfinite(step)) or np.linalg.cond(hess) > 1e12:
+            if np.max(np.abs(beta)) > _MONOTONE_BETA and np.max(np.abs(grad)) < 1e-6:
                 diverged = True
                 break
             raise FitError("Hessian numerically singular")
-        step = -step  # hess is negative definite at a maximum
 
-        candidate = beta + step
-        ll_new, grad_new, hess_new = _newton_terms(candidate, xs, es, view.tie_groups)
         # At convergence the step is at rounding level and the new
         # log-likelihood may round below the old one; that is no decrease
         # and must not cost a halving, a full evaluation each.
         floor = ll - _ROUNDING_ULPS * np.spacing(abs(ll))
-        halvings = 0
-        while ll_new < floor and halvings < 30:
-            step = step / 2.0
+        for _ in range(31):
             candidate = beta + step
             ll_new, grad_new, hess_new = _newton_terms(candidate, xs, es, view.tie_groups)
-            halvings += 1
-        if ll_new < floor:
+            if ll_new >= floor:
+                break
+            step = step / 2.0
+        else:
             # No direction of improvement at machine precision.
             converged = True
             break

@@ -178,11 +178,15 @@ def _lines(fh):
 
 
 def _read_header(path, lines, required) -> list[str]:
-    """The stripped header names, read from `lines` up to the header's end."""
+    """The stripped header names, read from `lines` up to the header's end;
+    `SchemaError` for a repeated name, which would alias another column."""
     try:
         header = [name.strip() for name in next(csv.reader(lines))]
     except StopIteration:
         raise SchemaError(f"{path}: empty file, header row required") from None
+    if len(set(header)) < len(header):
+        repeated = next(name for name in header if header.count(name) > 1)
+        raise SchemaError(f"{path}: column {repeated!r} appears more than once in the header")
     for name in required:
         if name not in header:
             raise SchemaError(f"{path}: missing required column {name!r}")

@@ -281,49 +281,27 @@ _OPENBLAS_THREAD_FUNCTIONS = (
 )
 
 
-def _openblas_paths(maps_lines) -> set[str]:
-    """The OpenBLAS files mapped in a process, from its /proc/<pid>/maps lines.
-
-    The pathname is the sixth field and may contain spaces; a file deleted
-    since it was mapped (pathname ending in " (deleted)") cannot be reopened.
-    """
-    paths = set()
-    for line in maps_lines:
-        parts = line.split(maxsplit=5)
-        if len(parts) < 6:
-            continue
-        path = parts[5].rstrip("\n")
-        if "openblas" in path.rsplit("/", 1)[-1] and not path.endswith(" (deleted)"):
-            paths.add(path)
-    return paths
-
-
 def _cap_blas_threads(limit: int) -> None:
-    """Cap every OpenBLAS loaded in this process at `limit` threads.
+    """Cap the OpenBLAS that numpy links at `limit` threads.
 
     OpenBLAS sizes its thread pool for the whole machine when it loads. Its
     multithreaded kernels sum in another order at some shapes, so the floats
     a command writes would depend on the host's CPU count, and forked workers
     that each keep the pool run more BLAS threads than there are CPUs. The
-    files are found through /proc/self/maps, so without procfs nothing is
-    capped; a library that cannot be reopened is left as it is, and so are
-    other BLAS libraries.
+    library is found through numpy's linear-algebra extension: reopening a
+    loaded object returns its handle, and a symbol looked up there is
+    searched in the object and the libraries it depends on, whatever their
+    file names. No procfs is needed. A copy of OpenBLAS another library
+    loads is left as it is, and so are other BLAS libraries.
     """
     import ctypes
 
-    try:
-        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
-            paths = _openblas_paths(fh)
-    except FileNotFoundError:
-        return
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_FUNCTIONS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                getattr(lib, set_name)(min(getattr(lib, get_name)(), limit))
+    from numpy.linalg import _umath_linalg
+
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for get_name, set_name in _OPENBLAS_THREAD_FUNCTIONS:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            getattr(lib, set_name)(min(getattr(lib, get_name)(), limit))
 
 
 def _init_worker(pairs) -> None:

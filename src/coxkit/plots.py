@@ -81,6 +81,23 @@ def _path(xs, ys, x_max: float, close: bool = False) -> str:
     return "M" + " L".join(drawn) + (" Z" if close else "")
 
 
+def _line(x1, y1, x2, y2, stroke="black", width=1) -> str:
+    return (
+        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+        f'stroke="{stroke}" stroke-width="{width}"/>'
+    )
+
+
+def _text(x, y, size, body, anchor=None, transform=None) -> str:
+    """A sans-serif `<text>` element; `body` must already be XML character data."""
+    anchor = "" if anchor is None else f' text-anchor="{anchor}"'
+    transform = "" if transform is None else f' transform="{transform}"'
+    return (
+        f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+        f'font-size="{size}"{transform}>{body}</text>'
+    )
+
+
 def render_km_svg(
     curves: list[tuple[str, KaplanMeierCurve]],
     title: str = "Kaplan-Meier survival",
@@ -99,47 +116,25 @@ def render_km_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{_escape(title)}</text>',
+        _text(WIDTH // 2, 24, 16, _escape(title), anchor="middle"),
     ]
 
     # axes
-    out.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{_py(0)}" x2="{_px(x_max, x_max)}" y2="{_py(0)}" '
-        'stroke="black" stroke-width="1"/>'
-    )
-    out.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{_py(0)}" x2="{MARGIN_LEFT}" y2="{_py(1)}" '
-        'stroke="black" stroke-width="1"/>'
-    )
+    out.append(_line(MARGIN_LEFT, _py(0), _px(x_max, x_max), _py(0)))
+    out.append(_line(MARGIN_LEFT, _py(0), MARGIN_LEFT, _py(1)))
     for frac in np.linspace(0.0, 1.0, 6):
         y = _py(frac)
-        out.append(
-            f'<line x1="{MARGIN_LEFT - 4}" y1="{_fmt(y)}" x2="{MARGIN_LEFT}" '
-            f'y2="{_fmt(y)}" stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{MARGIN_LEFT - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{frac:.1f}</text>'
-        )
+        out.append(_line(MARGIN_LEFT - 4, _fmt(y), MARGIN_LEFT, _fmt(y)))
+        out.append(_text(MARGIN_LEFT - 8, _fmt(y + 4), 11, f"{frac:.1f}", anchor="end"))
         x_tick = frac * x_max
         tick = _fmt(_px(x_tick, x_max))
-        out.append(
-            f'<line x1="{tick}" y1="{_py(0)}" x2="{tick}" '
-            f'y2="{_py(0) + 4}" stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{tick}" y="{_py(0) + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{x_tick:.3g}</text>'
-        )
+        out.append(_line(tick, _py(0), tick, _py(0) + 4))
+        out.append(_text(tick, _py(0) + 18, 11, f"{x_tick:.3g}", anchor="middle"))
+    out.append(_text(MARGIN_LEFT + PLOT_W // 2, HEIGHT - 12, 13, "time", anchor="middle"))
+    mid = MARGIN_TOP + PLOT_H // 2
     out.append(
-        f'<text x="{MARGIN_LEFT + PLOT_W // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
-        'font-family="sans-serif" font-size="13">time</text>'
-    )
-    out.append(
-        f'<text x="16" y="{MARGIN_TOP + PLOT_H // 2}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 16 {MARGIN_TOP + PLOT_H // 2})">survival probability</text>'
+        _text(16, mid, 13, "survival probability", anchor="middle",
+              transform=f"rotate(-90 16 {mid})")
     )
 
     for idx, (label, curve) in enumerate(curves):
@@ -156,19 +151,12 @@ def render_km_svg(
         )
         ly = MARGIN_TOP + 14 + 18 * idx
         lx = WIDTH - MARGIN_RIGHT - 170
-        out.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        out.append(
-            f'<text x="{lx + 30}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{_escape(label)}</text>'
-        )
+        out.append(_line(lx, ly - 4, lx + 24, ly - 4, stroke=color, width=2))
+        out.append(_text(lx + 30, ly, 12, _escape(label)))
 
     if p_value is not None:
         out.append(
-            f'<text x="{MARGIN_LEFT + 10}" y="{MARGIN_TOP + 16}" '
-            f'font-family="sans-serif" font-size="12">log-rank p = {p_value:.3g}</text>'
+            _text(MARGIN_LEFT + 10, MARGIN_TOP + 16, 12, f"log-rank p = {p_value:.3g}")
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

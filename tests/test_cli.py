@@ -314,6 +314,16 @@ class TestTrainCommand:
         assert len(model["beta"]) == 4
         assert not (tmp_path / "out" / "history.csv").exists()
 
+    def test_repeated_header_name_exit_2(self, tmp_path, capsys):
+        # the second `x` column would read the first's cells
+        data = tmp_path / "d.csv"
+        rows = [f"{i},{10 * i},{1 + i},{i % 2}" for i in range(40)]
+        data.write_text("x,x,time,event\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        config = make_train_config(tmp_path, dataset={"csv": str(data)})
+        assert run(["train", "--config", str(config)]) == 2
+        assert "column 'x' appears more than once" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_table_shaped_nonlinear_config_runs(self, tmp_path):
         config = make_train_config(
             tmp_path,
@@ -992,6 +1002,15 @@ class TestKmCommand:
         assert run(["km", "--data", str(data), "--group-by", "treatment",
                     "--out-dir", str(out)]) == 2
         assert "log-rank needs at least one observed event" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_header_name_exit_2(self, tmp_path, capsys):
+        # the curves would be read from the first `time` column alone
+        data = tmp_path / "d.csv"
+        data.write_text("x,time,event,time\n1,2,1,5\n2,3,0,6\n", encoding="utf-8")
+        out = tmp_path / "km"
+        assert run(["km", "--data", str(data), "--out-dir", str(out)]) == 2
+        assert "column 'time' appears more than once" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_file_exit_2(self, tmp_path):

@@ -308,6 +308,40 @@ class TestReaderMatchesRowLoop:
         assert labels == ["a\x00"]
 
 
+_HEADER_NAMES = ["x0", "time", "event", "treatment", "group"]
+
+
+@st.composite
+def _repeated_header_csv(draw):
+    """(name, text): a file whose header holds `name` twice, maybe padded;
+    its body may hold a quoted line break, which forces the row loop."""
+    header = list(draw(st.permutations(_HEADER_NAMES)))
+    name = draw(st.sampled_from(header))
+    header.insert(draw(st.integers(0, len(header))), name)
+    header = [draw(st.sampled_from([n, f" {n} "])) for n in header]
+    rows = [["1"] * len(header) for _ in range(draw(st.integers(0, 3)))]
+    if rows and draw(st.booleans()):
+        rows[-1][-1] = '"1,\n2"'
+    return name, "".join(",".join(cells) + "\n" for cells in [header, *rows])
+
+
+class TestRepeatedHeaderName:
+    """Each column is found by its name, so a second column of one name
+    would read the first's cells: both readers refuse such a header."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_repeated_header_csv())
+    def test_both_readers_raise(self, tmp_path_factory, case):
+        name, text = case
+        path = tmp_path_factory.getbasetemp() / "repeated.csv"
+        path.write_text(text, encoding="utf-8")
+        message = f"column {name!r} appears more than once in the header"
+        with pytest.raises(SchemaError, match=message):
+            load_csv(path)
+        with pytest.raises(SchemaError, match=message):
+            read_columns(path, [("time", "time"), ("event", "event")], "group")
+
+
 def _body(rows):
     """Data lines under `TestStreamedReader.HEADER`, row i's time 1 + i % 7."""
     return [f"{i * 0.5},{1 + i % 7},{-i},{i % 2},{i % 3}\n" for i in range(1, rows + 1)]

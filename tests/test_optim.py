@@ -5,7 +5,6 @@ import subprocess
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -397,87 +396,72 @@ class TestRandomSearchOracle:
         assert json.loads(done.stdout) == expected
 
 
-# Loads a second copy of each OpenBLAS numpy bundles from a directory whose
-# name has a space, then caps every OpenBLAS in the process at one thread.
+# Loads a second copy of each OpenBLAS numpy bundles from the directory
+# argv[1], then caps the OpenBLAS numpy links at one thread. With "noprocfs"
+# as argv[2], no file can be opened meanwhile.
 _BLAS_CAP_SCRIPT = """
 import ctypes, glob, json, os, shutil, sys
+from unittest import mock
 import numpy
 from coxkit import optim
 
+paths = glob.glob(os.path.dirname(numpy.__file__) + ".libs/*openblas*")
+bundled = [ctypes.CDLL(path) for path in paths]
 copies = []
-for path in glob.glob(os.path.dirname(numpy.__file__) + ".libs/*openblas*"):
+for path in paths:
     copy = os.path.join(sys.argv[1], "copy_" + os.path.basename(path))
     shutil.copy(path, copy)
     copies.append(ctypes.CDLL(copy))
 
-def thread_counts():
-    counts = []
-    for path in glob.glob(os.path.dirname(numpy.__file__) + ".libs/*openblas*"):
-        counts.append(ctypes.CDLL(path))
+def thread_counts(libs):
     return [getattr(lib, name)()
-            for lib in counts + copies
+            for lib in libs
             for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
                          "scipy_openblas_get_num_threads64_")
             if hasattr(lib, name)]
 
-before = thread_counts()
-optim._cap_blas_threads(1)
-print(json.dumps([len(copies), before, thread_counts()]))
+before = thread_counts(bundled), thread_counts(copies)
+if sys.argv[2] == "noprocfs":
+    with mock.patch("builtins.open", side_effect=FileNotFoundError):
+        optim._cap_blas_threads(1)
+else:
+    optim._cap_blas_threads(1)
+print(json.dumps([before, [thread_counts(bundled), thread_counts(copies)]]))
 """
 
 
-def test_search_workers_cap_openblas_threads(tmp_path):
-    """Every command and search worker caps OpenBLAS at one thread; numpy's
-    bundled OpenBLAS, and a copy loaded from a directory whose name has a
-    space, are found and set to one thread."""
+def _blas_cap_run(tmp_path, mode):
+    """The thread counts of numpy's bundled OpenBLAS and of a separately
+    loaded copy of it after the cap; both run at two threads before it."""
     import coxkit
 
-    lib_dir = tmp_path / "My Env"
-    lib_dir.mkdir()
     src = str(Path(coxkit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", _BLAS_CAP_SCRIPT, str(lib_dir)],
+        [sys.executable, "-c", _BLAS_CAP_SCRIPT, str(tmp_path), mode],
         capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"},
     )
     assert done.returncode == 0, done.stderr
-    copies, before, after = json.loads(done.stdout)
-    if not copies:
+    (bundled, copies), after = json.loads(done.stdout)
+    if not bundled:
         pytest.skip("numpy does not bundle OpenBLAS here")
-    assert len(before) == 2 * copies
-    assert before == [2] * len(before)
-    assert after == [1] * len(before)
+    assert bundled == copies == [2] * len(bundled)
+    return after
 
 
-def test_openblas_paths_read_the_whole_pathname():
-    maps = [
-        "7f0000000000-7f0000001000 r-xp 00000000 08:01 42   "
-        "/home/u/My Env/lib/numpy.libs/libscipy_openblas64_-32a4b2a6.so\n",
-        "7f0000002000-7f0000003000 r--p 00000000 08:01 43   "
-        "/usr/lib/x86_64-linux-gnu/libopenblas.so.0\n",
-        "7f0000004000-7f0000005000 r-xp 00000000 08:01 44   "
-        "/opt/old/libopenblas64_p-r0.so (deleted)\n",
-        "7f0000006000-7f0000007000 r-xp 00000000 08:01 45   /usr/lib/libm.so.6\n",
-        "7f0000008000-7f0000009000 r--p 00000000 08:01 46   /opt/openblas/libfoo.so\n",
-        "7f000000a000-7f000000b000 rw-p 00000000 00:00 0 \n",
-        "7ffd00000000-7ffd00021000 rw-p 00000000 00:00 0    [stack]\n",
-    ]
-    assert optim._openblas_paths(maps) == {
-        "/home/u/My Env/lib/numpy.libs/libscipy_openblas64_-32a4b2a6.so",
-        "/usr/lib/x86_64-linux-gnu/libopenblas.so.0",
-    }
+def test_search_workers_cap_openblas_threads(tmp_path):
+    """Every command and search worker caps the OpenBLAS numpy links at one
+    thread; a copy of it another library loads keeps its own count."""
+    bundled, copies = _blas_cap_run(tmp_path, "default")
+    assert bundled == [1] * len(bundled)
+    assert copies == [2] * len(copies)
 
 
-def test_blas_cap_skips_a_library_it_cannot_load(monkeypatch):
-    monkeypatch.setattr(optim, "_openblas_paths", lambda lines: {"/no/such/libopenblas.so"})
-    optim._cap_blas_threads(1)
-
-
-def test_blas_cap_without_procfs_caps_nothing():
-    # every command calls the cap, also where /proc/self/maps does not exist
-    with mock.patch("builtins.open", side_effect=FileNotFoundError):
-        optim._cap_blas_threads(1)
+def test_blas_cap_without_procfs_caps_numpys_openblas(tmp_path):
+    # the library is found through numpy's extension, without reading a file
+    bundled, _ = _blas_cap_run(tmp_path, "noprocfs")
+    assert bundled == [1] * len(bundled)
 
 
 class TestOptimizerConfigValidation:
