@@ -40,7 +40,9 @@ SCHEMA_VERSION = 1
 # the module that writes and reads each `model_type` of a model file
 MODEL_KINDS = {"linear_cph": coxlinear, "deep_cox": riskmlp}
 # the keys `train` writes to every model file, next to the model's own
-MODEL_ENVELOPE_KEYS = {"model_type", "feature_names", "standardization", "provenance"}
+MODEL_ENVELOPE_KEYS = {
+    "model_type", "feature_names", "standardization", "treatment_labels", "provenance"
+}
 
 
 class UsageError(ValueError):
@@ -286,16 +288,12 @@ def _load_data(args):
 
 
 def _model_inputs(ds, params: StandardizationParams):
-    """The model's inputs from `ds`, and the treatment feature's column or None.
-
-    Covariates are standardized by `params` before the treatment label is
-    appended as the last feature, so labels are never rescaled; train, search
-    and recommend all build their inputs here.
-    """
+    """The model's inputs from `ds`: its covariates standardized by `params`,
+    then its treatment label, if any, appended as the last input, so labels
+    are never rescaled. `recommend` only standardizes, and `group_risks`
+    appends each group in the label's place."""
     ds = standardize_apply(ds, params)
-    if ds.treatments is None:
-        return ds, None
-    return append_treatment_feature(ds)
+    return ds if ds.treatments is None else append_treatment_feature(ds)
 
 
 def _prepare_splits(config: TrainConfig):
@@ -305,7 +303,7 @@ def _prepare_splits(config: TrainConfig):
     idx = split_indices(ds.n, config.split.fractions, config.split.seed)
     parts = [ds.subset(i) for i in idx]
     params = standardize_fit(parts[0])
-    parts = [_model_inputs(p, params)[0] for p in parts]
+    parts = [_model_inputs(p, params) for p in parts]
     test_risks = None if true_risks is None else true_risks[idx[2]]
     standardization = {"means": params.means.tolist(), "stddevs": params.stddevs.tolist()}
     return parts, test_risks, standardization
@@ -360,6 +358,9 @@ def cmd_train(args) -> int:
             **MODEL_KINDS[config.model].to_dict(model),
             "feature_names": list(test_ds.feature_names),
             "standardization": standardization,
+            "treatment_labels": None
+            if train_ds.treatments is None
+            else np.unique(train_ds.treatments).tolist(),
             "provenance": prov,
         },
     )
@@ -390,7 +391,7 @@ def cmd_train(args) -> int:
 def cmd_search(args) -> int:
     seed = 0 if args.seed is None else args.seed
     ds = _load_data(args)
-    ds, _ = _model_inputs(ds, standardize_fit(ds))
+    ds = _model_inputs(ds, standardize_fit(ds))
     space = optim.SearchSpace()
     if args.space is not None:
         space = _read_json(args.space, optim.SearchSpace, "search space")
@@ -452,9 +453,9 @@ def cmd_search(args) -> int:
 
 
 def _read_model(path):
-    """The model of a `train` model file, its input names, standardization and
-    config hash; a missing or malformed file, or one with a key `train` does
-    not write, exits 2."""
+    """The model of a `train` model file, its input names, standardization,
+    treatment labels and config hash; a missing or malformed file, or one with
+    a key `train` does not write, exits 2."""
     payload = _load_json(path, "model")
     try:
         kind = MODEL_KINDS[payload["model_type"]]
@@ -465,24 +466,35 @@ def _read_model(path):
         std = payload["standardization"]
         params = StandardizationParams(std["means"], std["stddevs"])
         names = tuple(payload["feature_names"])
-        return model, names, params, payload["provenance"]["config_hash"]
+        labels = payload["treatment_labels"]
+        if labels is not None and not all(type(label) is int for label in labels):
+            raise ValueError("treatment_labels must be null or a list of integers")
+        return model, names, params, labels, payload["provenance"]["config_hash"]
     except (LookupError, TypeError, ValueError) as exc:
         raise UsageError(f"bad model file {path}: {type(exc).__name__}: {exc}") from None
 
 
 def cmd_recommend(args) -> int:
-    model, feature_names, params, model_hash = _read_model(args.model)
-    # no name holds the loaded data, so it is freed once standardized
-    ds, treatment_index = _model_inputs(_load_data(args), params)
-    if treatment_index is None:
+    model, feature_names, params, labels, model_hash = _read_model(args.model)
+    # no name holds the loaded data, so it is freed once standardized; the
+    # treatment is appended, group by group, in `group_risks`
+    ds = standardize_apply(_load_data(args), params)
+    if ds.treatments is None:
         raise UsageError(f"{args.data}: no treatment column {args.treatment_col!r}")
-    if ds.feature_names != feature_names:
+    inputs = ds.feature_names + ("treatment",)
+    if inputs != feature_names:
         raise UsageError(
             f"{args.data}: model {args.model} takes inputs {list(feature_names)}, "
-            f"data gives {list(ds.feature_names)}"
+            f"data gives {list(inputs)}"
+        )
+    unseen = np.setdiff1d(ds.treatments, labels or [])
+    if unseen.size:
+        raise UsageError(
+            f"{args.data}: treatment label {unseen[0]} is not one model "
+            f"{args.model} was trained on ({labels})"
         )
 
-    report = recommend.evaluate_recommendations(ds, model, treatment_index)
+    report = recommend.evaluate_recommendations(ds, model)
     effective = {
         "model": str(args.model),
         "data": str(args.data),

@@ -112,6 +112,8 @@ class StandardizationParams:
     def __post_init__(self):
         object.__setattr__(self, "means", np.asarray(self.means, dtype=float))
         object.__setattr__(self, "stddevs", np.asarray(self.stddevs, dtype=float))
+        if self.means.ndim != 1 or self.means.shape != self.stddevs.shape:
+            raise ValueError("means and stddevs must be 1-d arrays of equal length")
         if not (np.all(np.isfinite(self.means)) and np.all(np.isfinite(self.stddevs))):
             raise ValueError("means and stddevs must be finite")
         if np.any(self.stddevs <= 0):
@@ -460,23 +462,19 @@ def standardize_apply(
     )
 
 
-def append_treatment_feature(ds: SurvivalDataset) -> tuple[SurvivalDataset, int]:
+def append_treatment_feature(ds: SurvivalDataset) -> SurvivalDataset:
     """Append the treatment label as the last covariate column.
 
-    Risk models take the treatment group as a plain input feature; this keeps
-    the label out of standardization (append after standardizing). Returns the
-    augmented dataset and the index of the new column.
+    Risk models take the treatment group as a plain input feature, always
+    their last; this keeps the label out of standardization (append after
+    standardizing).
     """
     if ds.treatments is None:
         raise ValueError("dataset has no treatments")
-    augmented = np.column_stack([ds.covariates, ds.treatments.astype(float)])
-    return (
-        SurvivalDataset(
-            covariates=augmented,
-            times=ds.times,
-            events=ds.events,
-            treatments=ds.treatments,
-            feature_names=tuple(ds.feature_names) + ("treatment",),
-        ),
-        ds.d,
+    return SurvivalDataset(
+        covariates=np.column_stack([ds.covariates, ds.treatments.astype(float)]),
+        times=ds.times,
+        events=ds.events,
+        treatments=ds.treatments,
+        feature_names=tuple(ds.feature_names) + ("treatment",),
     )

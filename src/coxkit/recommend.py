@@ -1,10 +1,10 @@
 """Personalized treatment recommendations from a fitted risk model.
 
-`group_risks` scores every patient with the treatment input forced to each
-group, and the recommended group is the one of lowest risk (ties to the
-smaller label). Patients are partitioned by whether their assigned treatment
-matches it, and the two subsets are compared by Kaplan-Meier curves, median
-survival and a log-rank test.
+`group_risks` scores every patient with each group appended as the treatment
+input, always the model's last, and the recommended group is the one of
+lowest risk (ties to the smaller label). Patients are partitioned by whether
+their assigned treatment matches it, and the two subsets are compared by
+Kaplan-Meier curves, median survival and a log-rank test.
 """
 
 from __future__ import annotations
@@ -61,47 +61,37 @@ def predict(model, x: np.ndarray) -> np.ndarray:
     return np.asarray(model(x), dtype=float)
 
 
-def group_risks(model, x, treatment_index: int, groups) -> np.ndarray:
-    """The (rows, groups) risks of `x` with its treatment input forced to each group.
+def group_risks(model, x, groups) -> np.ndarray:
+    """The (rows, groups) risks of `x` with each group appended as the last input.
 
-    A 1-d `x` is one row. Column k holds the model's risks with every row's
-    `treatment_index` feature set to `groups[k]`; the other inputs are as given.
+    A 1-d `x` is one row. Column k holds the model's risks of every row of `x`
+    followed by a treatment input of `groups[k]`.
     """
-    forced = np.array(np.atleast_2d(x), dtype=float)
-    if not 0 <= treatment_index < forced.shape[1]:
-        raise ValueError(
-            f"treatment_index {treatment_index} out of range for d={forced.shape[1]}"
-        )
+    x = np.atleast_2d(x)
+    forced = np.empty((x.shape[0], x.shape[1] + 1))
+    forced[:, :-1] = x
     risks = np.empty((forced.shape[0], len(groups)))
     for k, group in enumerate(groups):
-        forced[:, treatment_index] = group
+        forced[:, -1] = group
         # copied out before the next group overwrites `forced`, of which a
         # callable model may return a view
         risks[:, k] = predict(model, forced)
     return risks
 
 
-def evaluate_recommendations(
-    ds_test: SurvivalDataset, model, treatment_index: int
-) -> RecommendationReport:
+def evaluate_recommendations(ds_test: SurvivalDataset, model) -> RecommendationReport:
     """Partition test patients by agreement with the model's recommendations.
 
-    The dataset's covariate column at `treatment_index` must hold the
-    assigned treatment labels (append the treatment feature after
-    standardizing). Errors if either subset of the partition is empty.
+    The dataset holds the model's inputs but the treatment, which the model
+    takes as its last input (standardize, but do not append the treatment
+    feature). Errors if either subset of the partition is empty.
     """
     if ds_test.treatments is None:
         raise ValueError("dataset has no treatments")
     groups = np.unique(ds_test.treatments)
     if groups.size < 2:
         raise ValueError("need at least two treatment groups")
-    if not 0 <= treatment_index < ds_test.d or not np.array_equal(
-        ds_test.covariates[:, treatment_index], ds_test.treatments.astype(float)
-    ):
-        raise ValueError(
-            f"covariate column {treatment_index} does not hold the treatment labels"
-        )
-    risks = group_risks(model, ds_test.covariates, treatment_index, groups)
+    risks = group_risks(model, ds_test.covariates, groups)
     recommended = groups[np.argmin(risks, axis=1)]
     rec_values = None
     if groups.size == 2:

@@ -240,18 +240,18 @@ def reference_backward(net, cache, d_risk, l2_coefficient=0.0):
     return weight_grads, bias_grads
 
 
-def reference_group_risks(model, x, treatment_index, groups):
-    """Risks of `x` with the treatment input forced to each group, as columns.
+def reference_group_risks(model, x, groups):
+    """Risks of `x` with each group appended as the last input, as columns.
 
-    The oracle for `coxkit.recommend.group_risks`: one fresh copy of `x` per
-    group, a linear model as `x @ beta`, a network through
-    `reference_forward` in inference mode, and the columns stacked at the end.
+    The oracle for `coxkit.recommend.group_risks`: a fresh `np.column_stack`
+    of `x` and the group per group, a linear model as `x @ beta`, a network
+    through `reference_forward` in inference mode, and the columns stacked at
+    the end.
     """
+    x = np.atleast_2d(x)
     columns = []
     for group in groups:
-        forced = np.array(x, dtype=float, copy=True)
-        forced[..., treatment_index] = group
-        forced = np.atleast_2d(forced)
+        forced = np.column_stack([x, np.full(x.shape[0], float(group))])
         if isinstance(model, LinearCoxModel):
             columns.append(forced @ model.beta)
         elif isinstance(model, RiskNetwork):

@@ -102,11 +102,10 @@ def run_experiment(spec, net_config, opt_config) -> ExperimentResult:
     true_test = sim.true_risks[idx[2]]
     params = standardize_fit(parts[0])
     parts = [standardize_apply(p, params) for p in parts]
-    treatment_index = None
+    # the recommender appends each group to the test covariates itself
+    test_without_treatment = parts[2]
     if spec.with_treatment:
-        augmented = [append_treatment_feature(p) for p in parts]
-        treatment_index = augmented[0][1]
-        parts = [a[0] for a in augmented]
+        parts = [append_treatment_feature(p) for p in parts]
     train_ds, _, test_ds = parts
 
     cph = fit_cph(train_ds)
@@ -115,8 +114,8 @@ def run_experiment(spec, net_config, opt_config) -> ExperimentResult:
     deep_risks = predict(net, test_ds.covariates)
 
     recommendation_report = None
-    if treatment_index is not None:
-        recommendation_report = evaluate_recommendations(test_ds, net, treatment_index)
+    if spec.with_treatment:
+        recommendation_report = evaluate_recommendations(test_without_treatment, net)
 
     return ExperimentResult(
         c_cph=concordance_index(test_ds.times, test_ds.events, cph_risks),
@@ -358,9 +357,9 @@ def test_criterion_8_constant_cph_recommender():
             with_treatment=True, seed=80,
         )
     )
-    ds, index = append_treatment_feature(sim.dataset)
-    model = fit_cph(ds)
-    rec = evaluate_recommendations(ds, model, index)
+    ds = sim.dataset
+    model = fit_cph(append_treatment_feature(ds))
+    rec = evaluate_recommendations(ds, model)
     spread = float(rec.rec_values.max() - rec.rec_values.min())
     constant_group = rec.recommended[0]
     partition_matches = np.array_equal(

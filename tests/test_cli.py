@@ -615,9 +615,10 @@ def train_treatment_model(tmp_path, model):
 # the keys of a model file, by model type
 MODEL_FILE_KEYS = {
     "deep_cox": {"model_type", "config", "layers", "feature_names",
-                 "standardization", "provenance"},
+                 "standardization", "treatment_labels", "provenance"},
     "linear_cph": {"model_type", "beta", "converged", "iterations", "log_likelihood",
-                   "diverged", "feature_names", "standardization", "provenance"},
+                   "diverged", "feature_names", "standardization", "treatment_labels",
+                   "provenance"},
 }
 
 
@@ -684,6 +685,11 @@ class TestRecommendCommand:
             (lambda m: m.update(standardization=None), "TypeError"),
             (lambda m: m["standardization"]["means"].__setitem__(0, None),
              "means and stddevs must be finite"),
+            (lambda m: m["standardization"].update(stddevs=m["standardization"]["stddevs"][:1]),
+             "ValueError: means and stddevs must be 1-d arrays of equal length"),
+            (lambda m: m.pop("treatment_labels"), "KeyError: 'treatment_labels'"),
+            (lambda m: m.update(treatment_labels=[0, 1.0]),
+             "ValueError: treatment_labels must be null or a list of integers"),
             (lambda m: m.clear(), "KeyError: 'model_type'"),
             (lambda m: m.update(input_dim=99), "unknown keys ['input_dim']"),
             (lambda m: m.update(treatment_index=0), "unknown keys ['treatment_index']"),
@@ -693,7 +699,8 @@ class TestRecommendCommand:
         ids=["missing-layers", "missing-feature-names", "hidden-layers-string",
              "config-number", "null-weight", "nan-bias", "flat-weights",
              "config-contradicts-layers", "unknown-model-type", "missing-stddevs",
-             "null-standardization", "null-mean", "empty-object", "input-dim", "treatment-index",
+             "null-standardization", "null-mean", "one-stddev", "missing-treatment-labels",
+             "float-treatment-label", "empty-object", "input-dim", "treatment-index",
              "contradicting-keys"],
     )
     def test_malformed_model_file_exit_2(
@@ -747,6 +754,23 @@ class TestRecommendCommand:
         err = capsys.readouterr().err
         expected = ["x0", "x1", "x2", "x3", "treatment"]
         assert f"takes inputs {expected}, data gives {[*names, 'treatment']}" in err
+        assert not out.exists()
+
+    def test_unseen_treatment_label_exit_2(self, tmp_path, capsys, trained_treatment_model):
+        model, data = trained_treatment_model
+        assert json.loads(model.read_text())["treatment_labels"] == [0, 1]
+        ds = load_csv(data)
+        treatments = ds.treatments.copy()
+        treatments[::3] = 2
+        relabelled = tmp_path / "relabelled.csv"
+        write_csv(dataclasses.replace(ds, treatments=treatments), relabelled)
+        out = tmp_path / "rec"
+        assert run(["recommend", "--model", str(model), "--data", str(relabelled),
+                    "--out-dir", str(out)]) == 2
+        assert (
+            f"{relabelled}: treatment label 2 is not one model {model} was trained on ([0, 1])"
+            in capsys.readouterr().err
+        )
         assert not out.exists()
 
     def test_missing_model_file_exit_2(self, tmp_path, capsys):

@@ -542,6 +542,15 @@ class TestStandardize:
         with pytest.raises(ValueError, match="means and stddevs must be finite"):
             data.StandardizationParams(means, stddevs)
 
+    @pytest.mark.parametrize(
+        "means, stddevs",
+        [([0.0, 0.0], [1.0]), ([[0.0, 0.0]], [[1.0, 1.0]]), (0.0, 1.0)],
+        ids=["short-stddevs", "two-d", "scalars"],
+    )
+    def test_misshapen_params_rejected(self, means, stddevs):
+        with pytest.raises(ValueError, match="1-d arrays of equal length"):
+            data.StandardizationParams(means, stddevs)
+
 
 class TestSortView:
     def test_descending_permutation(self):
@@ -587,8 +596,8 @@ class TestTreatmentFeature:
             events=[1, 1],
             treatments=[1, 0],
         )
-        out, index = append_treatment_feature(ds)
-        assert index == 1
+        out = append_treatment_feature(ds)
+        assert out.d == 2
         assert np.array_equal(out.covariates[:, 1], [1.0, 0.0])
         assert out.feature_names[-1] == "treatment"
 
