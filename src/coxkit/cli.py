@@ -131,7 +131,8 @@ def cmd_simulate(args) -> int:
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    """Where `train` gets its patients: a CSV file and an optional true-risk sidecar."""
+    """Where `train`, `search` and `recommend` get their patients: a CSV file
+    and, for `train`, an optional true-risk sidecar."""
 
     csv: str
     time_col: str = "time"
@@ -283,10 +284,6 @@ def _load_source(dataset: DatasetConfig):
     return ds, risks
 
 
-def _load_data(args):
-    return load_csv(args.data, args.time_col, args.event_col, args.treatment_col)
-
-
 def _model_inputs(ds, params: StandardizationParams):
     """The model's inputs from `ds`: its covariates standardized by `params`,
     then its treatment label, if any, appended as the last input, so labels
@@ -388,13 +385,19 @@ def cmd_train(args) -> int:
 # ------------------------------------------------------------------ search
 
 
+def _flag_dataset(args) -> DatasetConfig:
+    """The dataset named by the `--data` and column flags of `search` and `recommend`."""
+    return DatasetConfig(args.data, args.time_col, args.event_col, args.treatment_col)
+
+
 def cmd_search(args) -> int:
     seed = 0 if args.seed is None else args.seed
-    ds = _load_data(args)
-    ds = _model_inputs(ds, standardize_fit(ds))
     space = optim.SearchSpace()
     if args.space is not None:
         space = _read_json(args.space, optim.SearchSpace, "search space")
+    dataset = _flag_dataset(args)
+    ds, _ = _load_source(dataset)
+    ds = _model_inputs(ds, standardize_fit(ds))
 
     effective = {
         "data": str(args.data),
@@ -419,29 +422,15 @@ def cmd_search(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log = [
-        {
-            "trial": t["trial"],
-            "network": asdict(t["network"]),
-            "optimizer": asdict(t["optimizer"]),
-            "fold_cindex": t["fold_cindex"],
-            "mean_cindex": t["mean_cindex"],
-        }
+        {**t, "network": asdict(t["network"]), "optimizer": asdict(t["optimizer"])}
         for t in trials
     ]
     write_json(
         out_dir / "search_trials.json",
         {"trials": log, "best_trial": best_index, "provenance": prov},
     )
-    write_json(
-        out_dir / "best_config.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "model": "deep_cox",
-            "network": asdict(best_net),
-            "optimizer": asdict(best_opt),
-            "provenance": prov,
-        },
-    )
+    best = TrainConfig(dataset=dataset, network=best_net, optimizer=best_opt)
+    write_json(out_dir / "best_config.json", asdict(best))
     print(
         f"search: best trial {best_index} "
         f"mean C-index {trials[best_index]['mean_cindex']:.4f}"
@@ -478,7 +467,7 @@ def cmd_recommend(args) -> int:
     model, feature_names, params, labels, model_hash = _read_model(args.model)
     # no name holds the loaded data, so it is freed once standardized; the
     # treatment is appended, group by group, in `group_risks`
-    ds = standardize_apply(_load_data(args), params)
+    ds = standardize_apply(_load_source(_flag_dataset(args))[0], params)
     if ds.treatments is None:
         raise UsageError(f"{args.data}: no treatment column {args.treatment_col!r}")
     inputs = ds.feature_names + ("treatment",)
@@ -507,19 +496,13 @@ def cmd_recommend(args) -> int:
     body = recommend.report_to_dict(report)
     body["provenance"] = prov
     write_json(out_dir / "recommendation.json", body)
-    curves = [
-        ("Recommendation", report.km_recommendation),
-        ("Anti-Recommendation", report.km_anti_recommendation),
-    ]
-    for label, curve in curves:  # km_recommendation.csv, km_anti_recommendation.csv
-        name = "km_" + label.lower().replace("-", "_") + ".csv"
-        metrics.write_km_csv(curve, out_dir / name, comment=canonical_json(prov))
-    svg = render_km_svg(
-        curves,
-        title="Survival by recommendation concordance",
-        p_value=report.log_rank_result.p_value,
-    )
-    write_svg(out_dir / "recommendation.svg", svg, prov)
+    files = {
+        "km_recommendation.csv": ("Recommendation", report.km_recommendation),
+        "km_anti_recommendation.csv": ("Anti-Recommendation", report.km_anti_recommendation),
+    }
+    _write_curves(out_dir, prov, files, "recommendation.svg",
+                  title="Survival by recommendation concordance",
+                  p_value=report.log_rank_result.p_value)
     medians = body["median_survival"]
     print(
         f"recommend: median survival {medians['recommendation']} (Rec) vs "
@@ -536,6 +519,15 @@ def _safe_label(label: str) -> str:
     return "".join(c if c.isalnum() or c in "-_" else "_" for c in label)
 
 
+def _write_curves(out_dir, prov, files, svg_name, *, title, p_value) -> None:
+    """Write each Kaplan-Meier curve of `files` (CSV name -> (label, curve)) to
+    its CSV, then all of them, in that order, to the SVG plot `svg_name`."""
+    for name, (_, curve) in files.items():
+        metrics.write_km_csv(curve, out_dir / name, comment=canonical_json(prov))
+    svg = render_km_svg(list(files.values()), title=title, p_value=p_value)
+    write_svg(out_dir / svg_name, svg, prov)
+
+
 def cmd_km(args) -> int:
     table, groups = read_columns(
         args.data, [(args.time_col, "time"), (args.event_col, "event")], args.group_by
@@ -549,24 +541,27 @@ def cmd_km(args) -> int:
     prov = _provenance("km", effective, {})
 
     if args.group_by is None:
-        labelled = [("all", np.ones(times.shape[0], dtype=bool))]
+        labels, codes = ["all"], np.zeros(times.shape[0], dtype=np.int64)
     else:
+        # each row's group as a code of its exact label: a numpy string array
+        # would drop a trailing NUL and merge `a\x00` into `a`
         labels = sorted(set(groups))
-        group_arr = np.asarray(groups)
-        labelled = [(label, group_arr == label) for label in labels]
-    files = {}
-    for label, _ in labelled:
+        code_of = {label: code for code, label in enumerate(labels)}
+        codes = np.fromiter(map(code_of.__getitem__, groups), np.int64, len(groups))
+    names = {}
+    for label in labels:
         name = "km.csv" if args.group_by is None else f"km_{_safe_label(label)}.csv"
-        if files.setdefault(name, label) != label:
+        if names.setdefault(name, label) != label:
             raise UsageError(
-                f"groups {files[name]!r} and {label!r} would both be written to {name}"
+                f"groups {names[name]!r} and {label!r} would both be written to {name}"
             )
 
-    curves = []
+    masks = [codes == code for code in range(len(labels))]
+    files = {}
     summary = {}
-    for label, mask in labelled:
+    for (name, label), mask in zip(names.items(), masks):
         curve = metrics.kaplan_meier(times[mask], events[mask], alpha=args.alpha)
-        curves.append((label, curve))
+        files[name] = (label, curve)
         summary[label] = {
             "n": int(mask.sum()),
             "events": int(events[mask].sum()),
@@ -575,8 +570,8 @@ def cmd_km(args) -> int:
 
     log_rank_payload = None
     p_value = None
-    if len(curves) == 2:
-        (_, mask_a), (_, mask_b) = labelled
+    if len(masks) == 2:
+        mask_a, mask_b = masks
         result = metrics.log_rank(
             times[mask_a], events[mask_a], times[mask_b], events[mask_b]
         )
@@ -586,15 +581,13 @@ def cmd_km(args) -> int:
     # every curve and test above may fail, so nothing is written before them
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for (_, curve), name in zip(curves, files):
-        metrics.write_km_csv(curve, out_dir / name, comment=canonical_json(prov))
     write_json(
         out_dir / "km.json",
         {"groups": summary, "log_rank": log_rank_payload, "provenance": prov},
     )
-    svg = render_km_svg(curves, title="Kaplan-Meier survival", p_value=p_value)
-    write_svg(out_dir / "km.svg", svg, prov)
-    print(f"km: wrote {len(curves)} curve(s) to {out_dir}")
+    _write_curves(out_dir, prov, files, "km.svg", title="Kaplan-Meier survival",
+                  p_value=p_value)
+    print(f"km: wrote {len(files)} curve(s) to {out_dir}")
     return 0
 
 

@@ -93,8 +93,12 @@ class SearchSpace:
                 raise ValueError(f"{name} range is empty: {low} > {high}")
         if not self.activations or not set(self.activations) <= set(ACTIVATIONS):
             raise ValueError(f"activations must be a non-empty subset of {ACTIVATIONS}")
-        if self.learning_rate[0] <= 0:
-            raise ValueError("learning_rate range must be positive")
+        # each config rule is an interval, so if both bounds pass, every draw does
+        for i in (0, 1):
+            NetworkConfig(self.hidden_layers[i], self.nodes_per_layer[i],
+                          dropout_rate=self.dropout[i], l2_coefficient=self.l2[i])
+            OptimizerConfig(learning_rate=self.learning_rate[i],
+                            lr_decay_rate=self.lr_decay[i], momentum=self.momentum[i])
 
 
 def lr_at_epoch(lr0: float, epoch: int, decay_rate: float) -> float:
@@ -310,19 +314,20 @@ def _init_worker(pairs) -> None:
     _cap_blas_threads(1)
 
 
-def _score_fold(net_config: NetworkConfig, opt_config: OptimizerConfig, fold: int) -> float:
-    """Holdout C-index of one configuration trained on one fold, in a worker.
-
-    A divergent fold, or a holdout with no comparable pair, scores 0.
+def _score_fold(
+    net_config: NetworkConfig, opt_config: OptimizerConfig, fold: int
+) -> tuple[float, str | None]:
+    """(holdout C-index, None) of one configuration trained on one fold, in a
+    worker; a divergent fold, or a holdout with no comparable pair, gives
+    (0, its error as `type: message`).
     """
     fold_train, fold_holdout = _worker_folds[fold]
     try:
         net, _ = train(fold_train, net_config, opt_config)
         risks = forward(net, fold_holdout.covariates)
-        score = concordance_index(fold_holdout.times, fold_holdout.events, risks)
-    except (TrainingDiverged, ValueError):
-        score = 0.0
-    return float(score)
+        return float(concordance_index(fold_holdout.times, fold_holdout.events, risks)), None
+    except (TrainingDiverged, ValueError) as exc:
+        return 0.0, f"{type(exc).__name__}: {exc}"
 
 
 def random_search(
@@ -338,9 +343,10 @@ def random_search(
 
     Folds are fixed across trials; each trial trains one sampled
     configuration per fold and is scored by the mean holdout C-index of the
-    final-epoch networks. Divergent or degenerate folds score 0 so unattended
-    searches keep going. Ties go to the earlier trial. Returns the winner's
-    network and optimizer configs, every trial, and the winner's index.
+    final-epoch networks. Divergent or degenerate folds score 0, with their
+    error in the trial's `fold_errors` (None for a fold that scored), so
+    unattended searches keep going. Ties go to the earlier trial. Returns the
+    winner's network and optimizer configs, every trial, and the winner's index.
 
     The trial x fold trainings run in forked worker processes, one per CPU
     the process may run on (`os.sched_getaffinity`, so `taskset` limits
@@ -377,17 +383,18 @@ def random_search(
         initializer=_init_worker,
         initargs=(pairs,),
     ) as pool:
-        scores = list(pool.map(_score_fold, *zip(*jobs)))
+        scores, errors = zip(*pool.map(_score_fold, *zip(*jobs)))
 
     trials = []
     for index, (net_config, opt_config) in enumerate(configs):
-        fold_scores = scores[index * k : (index + 1) * k]
+        fold_scores = list(scores[index * k : (index + 1) * k])
         trials.append(
             {
                 "trial": index,
                 "network": net_config,
                 "optimizer": opt_config,
                 "fold_cindex": fold_scores,
+                "fold_errors": list(errors[index * k : (index + 1) * k]),
                 "mean_cindex": float(np.mean(fold_scores)),
             }
         )

@@ -267,7 +267,8 @@ def reference_random_search(space, ds, k, n_trials, seed, epochs, optimizer_kind
     The oracle for `coxkit.optim.random_search`, which trains the same
     trial x fold pairs in worker processes: configurations drawn in trial
     order, every fold trained and scored in turn, a fold that diverges or
-    whose holdout has no comparable pair scored 0, ties to the earlier trial.
+    whose holdout has no comparable pair scored 0 with its error recorded as
+    `type: message`, ties to the earlier trial.
     """
     sample_rng = np.random.default_rng(seed)
     fold_seed, *trial_seeds = _derive_seeds(seed, 1 + n_trials)
@@ -276,21 +277,24 @@ def reference_random_search(space, ds, k, n_trials, seed, epochs, optimizer_kind
     for index in range(n_trials):
         net_config, opt_params = sample_configuration(space, sample_rng, optimizer_kind)
         opt_config = OptimizerConfig(epochs=epochs, seed=trial_seeds[index], **opt_params)
-        fold_scores = []
+        fold_scores, fold_errors = [], []
         for fold_train, fold_holdout in pairs:
+            error = None
             try:
                 net, _ = train(fold_train, net_config, opt_config)
                 risks = predict(net, fold_holdout.covariates)
                 score = concordance_index(fold_holdout.times, fold_holdout.events, risks)
-            except (TrainingDiverged, ValueError):
-                score = 0.0
+            except (TrainingDiverged, ValueError) as exc:
+                score, error = 0.0, f"{type(exc).__name__}: {exc}"
             fold_scores.append(float(score))
+            fold_errors.append(error)
         trials.append(
             {
                 "trial": index,
                 "network": net_config,
                 "optimizer": opt_config,
                 "fold_cindex": fold_scores,
+                "fold_errors": fold_errors,
                 "mean_cindex": float(np.mean(fold_scores)),
             }
         )

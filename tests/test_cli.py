@@ -542,8 +542,63 @@ class TestSearchCommand:
         log = json.loads((out / "search_trials.json").read_text())
         assert len(log["trials"]) == 3
         assert log["best_trial"] in (0, 1, 2)
+        assert all(len(t["fold_errors"]) == 2 for t in log["trials"])
+        winner = log["trials"][log["best_trial"]]
         best = json.loads((out / "best_config.json").read_text())
-        assert "network" in best and "optimizer" in best
+        assert (best["network"], best["optimizer"]) == (winner["network"], winner["optimizer"])
+        assert best["dataset"] == {"csv": str(sim_dir / "dataset.csv"), "time_col": "time",
+                                   "event_col": "event", "treatment_col": "treatment",
+                                   "risks_csv": None}
+        # a train config, read back by the same checks to the same JSON
+        path = out / "best_config.json"
+        assert canonical_json(dataclasses.asdict(load_config(path))) == canonical_json(best)
+
+    def test_best_config_trains_unedited(self, tmp_path, monkeypatch):
+        """simulate -> search -> train --config best_config.json -> recommend,
+        with relative paths resolved against the working directory."""
+        monkeypatch.chdir(tmp_path)
+        for argv in [
+            ["simulate", "--risk", "gaussian", "--n", "300", "--d", "3", "--lambda-max", "10",
+             "--with-treatment", "--seed", "2", "--out-dir", "sim"],
+            ["search", "--data", "sim/dataset.csv", "--trials", "2", "--k", "2",
+             "--epochs", "3", "--seed", "4", "--out-dir", "search"],
+            ["train", "--config", "search/best_config.json", "--out-dir", "train"],
+            ["recommend", "--model", "train/model.json", "--data", "sim/dataset.csv",
+             "--out-dir", "rec"],
+        ]:
+            assert run(argv) == 0, argv[0]
+        best = json.loads((tmp_path / "search" / "best_config.json").read_text())
+        model = json.loads((tmp_path / "train" / "model.json").read_text())
+        assert model["config"] == best["network"]
+        assert (tmp_path / "rec" / "recommendation.json").exists()
+
+    @pytest.mark.parametrize(
+        "key, bounds",
+        [
+            ("hidden_layers", [0, 3]),
+            ("nodes_per_layer", [0, 4]),
+            ("dropout", [0, 1.0]),
+            ("l2", [-1, 0]),
+            ("lr_decay", [-1e-3, 0]),
+            ("momentum", [0.5, 1.0]),
+            ("learning_rate", [0, 1e-2]),
+        ],
+    )
+    def test_space_bound_outside_config_rule_exit_2(self, tmp_path, capsys, key, bounds):
+        """A bound that a network or optimizer config refuses is refused at
+        every seed, not only when a trial happens to draw it."""
+        run(["simulate", "--risk", "linear", "--n", "60", "--d", "3",
+             "--out-dir", str(tmp_path)])
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({key: bounds}), encoding="utf-8")
+        for seed in range(1, 6):
+            out = tmp_path / f"search{seed}"
+            code = run(["search", "--data", str(tmp_path / "dataset.csv"), "--space",
+                        str(path), "--trials", "2", "--k", "2", "--epochs", "2",
+                        "--seed", str(seed), "--out-dir", str(out)])
+            assert code == 2, seed
+            assert "bad search space: " in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "space, message",
@@ -987,6 +1042,21 @@ class TestKmCommand:
         first = text.splitlines()[0]
         assert "--" not in first[len("<!--"):-len("-->")]
         assert json.loads(first[len("<!-- "):-len(" -->")]) == provenance
+
+    def test_groups_by_exact_label(self, tmp_path):
+        """`a` and `a\x00` are two groups (the CSV reader keeps the NUL), and
+        neither takes the other's patients."""
+        data = tmp_path / "d.csv"
+        rows = ["1,1,a", "2,1,a", "3,0,a", "1.5,1,a\x00", "2.5,1,a\x00"]
+        data.write_text("time,event,grp\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "km"
+        assert run(["km", "--data", str(data), "--group-by", "grp",
+                    "--out-dir", str(out)]) == 0
+        groups = json.loads((out / "km.json").read_text())["groups"]
+        assert {label: (g["n"], g["events"]) for label, g in groups.items()} == {
+            "a": (3, 2), "a\x00": (2, 2)
+        }
+        assert sorted(p.name for p in out.glob("km_*.csv")) == ["km_a.csv", "km_a_.csv"]
 
     def test_colliding_group_file_names_exit_2(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -372,6 +372,12 @@ class TestRandomSearchOracle:
         with pytest.raises(TrainingDiverged), np.errstate(over="ignore", invalid="ignore"):
             train(pairs[1][0], trials[1]["network"], trials[1]["optimizer"])
         assert trials[1]["fold_cindex"] == [0.0] * 3
+        # a failed fold says why; fold 1 of trials 0 and 3 trains and scores
+        # a true C-index of 0, so its error is null
+        assert all(e.startswith("TrainingDiverged: non-finite ") for e in trials[1]["fold_errors"])
+        for t in (0, 2, 3):
+            assert trials[t]["fold_errors"] == ["ValueError: no comparable pairs", None, None]
+        assert trials[0]["fold_cindex"][1] == trials[3]["fold_cindex"][1] == 0.0
         assert result[3] == 2 and trials[2]["mean_cindex"] > 0.5
         return search_as_json(result)
 
