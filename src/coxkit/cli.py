@@ -284,23 +284,19 @@ def _load_source(dataset: DatasetConfig):
     return ds, risks
 
 
-def _model_inputs(ds, params: StandardizationParams):
-    """The model's inputs from `ds`: its covariates standardized by `params`,
-    then its treatment label, if any, appended as the last input, so labels
-    are never rescaled. `recommend` only standardizes, and `group_risks`
-    appends each group in the label's place."""
-    ds = standardize_apply(ds, params)
-    return ds if ds.treatments is None else append_treatment_feature(ds)
-
-
 def _prepare_splits(config: TrainConfig):
-    """Load, split, standardize, and append the treatment feature; the three
-    parts, the test part's true risks (or None) and the standardization."""
+    """Load, split, standardize by the training part's fit, then append the
+    treatment label, if any, as the last input, so labels are never rescaled;
+    the three parts, the test part's true risks (or None) and the
+    standardization. `recommend` only standardizes, and `group_risks`
+    appends each group in the label's place."""
     ds, true_risks = _load_source(config.dataset)
     idx = split_indices(ds.n, config.split.fractions, config.split.seed)
     parts = [ds.subset(i) for i in idx]
     params = standardize_fit(parts[0])
-    parts = [_model_inputs(p, params) for p in parts]
+    parts = [standardize_apply(p, params) for p in parts]
+    if ds.treatments is not None:
+        parts = [append_treatment_feature(p) for p in parts]
     test_risks = None if true_risks is None else true_risks[idx[2]]
     standardization = {"means": params.means.tolist(), "stddevs": params.stddevs.tolist()}
     return parts, test_risks, standardization
@@ -395,12 +391,11 @@ def cmd_search(args) -> int:
     space = optim.SearchSpace()
     if args.space is not None:
         space = _read_json(args.space, optim.SearchSpace, "search space")
-    dataset = _flag_dataset(args)
-    ds, _ = _load_source(dataset)
-    ds = _model_inputs(ds, standardize_fit(ds))
+    config = TrainConfig(dataset=_flag_dataset(args))
 
     effective = {
-        "data": str(args.data),
+        "dataset": asdict(config.dataset),
+        "split": asdict(config.split),
         "space": asdict(space),
         "trials": args.trials,
         "k": args.k,
@@ -409,9 +404,10 @@ def cmd_search(args) -> int:
         "seed": seed,
     }
     prov = _provenance("search", effective, {"search": seed})
+    # the folds are those of `train`'s training part, in its standardization
     best_net, best_opt, trials, best_index = optim.random_search(
         space,
-        ds,
+        _prepare_splits(config)[0][0],
         k=args.k,
         n_trials=args.trials,
         seed=seed,
@@ -429,7 +425,7 @@ def cmd_search(args) -> int:
         out_dir / "search_trials.json",
         {"trials": log, "best_trial": best_index, "provenance": prov},
     )
-    best = TrainConfig(dataset=dataset, network=best_net, optimizer=best_opt)
+    best = replace(config, network=best_net, optimizer=best_opt)
     write_json(out_dir / "best_config.json", asdict(best))
     print(
         f"search: best trial {best_index} "
@@ -535,6 +531,8 @@ def cmd_km(args) -> int:
     times, events = table[:, 0], table[:, 1].astype(np.int64)
     effective = {
         "data": str(args.data),
+        "time_col": args.time_col,
+        "event_col": args.event_col,
         "group_by": args.group_by,
         "alpha": args.alpha,
     }

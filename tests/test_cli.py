@@ -8,6 +8,7 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from coxkit.cli import (
     main,
     write_svg,
 )
-from coxkit.data import load_csv, write_columns, write_csv
+from coxkit.data import load_csv, split_indices, write_columns, write_csv
 from coxkit.metrics import kaplan_meier
 from coxkit.plots import render_km_svg
 from coxkit.simulate import SimulationSpec, generate
@@ -630,6 +631,46 @@ class TestSearchCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "search").exists()
 
+    def test_ignores_rows_outside_its_training_split(self, tmp_path, monkeypatch):
+        """Two files that differ only in the covariates and times of the rows
+        `train`'s default split holds out search to the same bytes, and the
+        winner keeps that split."""
+        ds = generate(SimulationSpec(n=90, d=3, risk_kind="gaussian", lambda_max=10.0,
+                                     with_treatment=True, seed=5)).dataset
+        split = cli.SplitConfig()
+        held_out = np.concatenate(split_indices(ds.n, split.fractions, split.seed)[1:])
+        covariates, times = ds.covariates.copy(), ds.times.copy()
+        covariates[held_out] = -3.0 * covariates[held_out] + 1.0
+        times[held_out] = times[held_out][::-1] + 0.5
+        written = []
+        for name, data in [("a", ds),
+                           ("b", dataclasses.replace(ds, covariates=covariates, times=times))]:
+            (tmp_path / name).mkdir()
+            write_csv(data, tmp_path / name / "dataset.csv")
+            monkeypatch.chdir(tmp_path / name)
+            assert run(["search", "--data", "dataset.csv", "--trials", "2", "--k", "2",
+                        "--epochs", "3"]) == 0
+            written.append({f: read_bytes(tmp_path / name / f)
+                            for f in ("dataset.csv", "search_trials.json", "best_config.json")})
+        assert written[0].pop("dataset.csv") != written[1].pop("dataset.csv")
+        assert written[0] == written[1]
+        best = json.loads(written[0]["best_config.json"])
+        assert best["split"] == json.loads(canonical_json(dataclasses.asdict(split)))
+
+    def test_config_hash_covers_column_flags(self, tmp_path):
+        """A column flag changes what search reads, so it changes the hash."""
+        run(["simulate", "--risk", "linear", "--n", "60", "--d", "3", "--with-treatment",
+             "--out-dir", str(tmp_path)])
+        hashes = set()
+        for name, flags in [("a", []), ("b", ["--treatment-col", "none_such"])]:
+            out = tmp_path / name
+            assert run(["search", "--data", str(tmp_path / "dataset.csv"), *flags,
+                        "--trials", "1", "--k", "2", "--epochs", "2",
+                        "--out-dir", str(out)]) == 0
+            log = json.loads((out / "search_trials.json").read_text())
+            hashes.add(log["provenance"]["config_hash"])
+        assert len(hashes) == 2
+
     def test_rerun_identical(self, tmp_path):
         sim_dir = tmp_path / "sim"
         run(["simulate", "--risk", "linear", "--n", "60", "--d", "3",
@@ -1057,6 +1098,19 @@ class TestKmCommand:
             "a": (3, 2), "a\x00": (2, 2)
         }
         assert sorted(p.name for p in out.glob("km_*.csv")) == ["km_a.csv", "km_a_.csv"]
+
+    def test_config_hash_covers_column_flags(self, tmp_path):
+        """`--time-col` and `--event-col` change the curves, so they change the hash."""
+        data = tmp_path / "d.csv"
+        data.write_text("time,time2,event,event2\n1,4,1,0\n2,3,0,1\n3,2,1,1\n4,1,1,0\n",
+                        encoding="utf-8")
+        hashes = set()
+        for name, flags in [("a", []), ("b", ["--time-col", "time2"]),
+                            ("c", ["--event-col", "event2"])]:
+            out = tmp_path / name
+            assert run(["km", "--data", str(data), *flags, "--out-dir", str(out)]) == 0
+            hashes.add(json.loads((out / "km.json").read_text())["provenance"]["config_hash"])
+        assert len(hashes) == 3
 
     def test_colliding_group_file_names_exit_2(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
