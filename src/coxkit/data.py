@@ -10,6 +10,7 @@ every operation here returns a new object.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -83,20 +84,33 @@ class SurvivalDataset:
     def d(self) -> int:
         return self.covariates.shape[1]
 
-    @property
+    @functools.cached_property
     def n_events(self) -> int:
         return int(self.events.sum())
 
     def subset(self, index) -> "SurvivalDataset":
-        """New dataset restricted to the given row indices (order preserved)."""
+        """New dataset restricted to the given row indices (order preserved).
+
+        The rows of a validated dataset are valid, so the new one skips
+        `__post_init__`'s checks, all but the non-empty one; its arrays are
+        fancy-indexed copies, read-only like every dataset's.
+        """
         index = np.asarray(index)
-        return SurvivalDataset(
-            covariates=self.covariates[index],
-            times=self.times[index],
-            events=self.events[index],
-            treatments=None if self.treatments is None else self.treatments[index],
-            feature_names=self.feature_names,
-        )
+        covariates = self.covariates[index]
+        if covariates.ndim != 2 or covariates.shape[0] < 1:
+            raise ValueError("covariates must be a non-empty n x d matrix")
+        part = object.__new__(SurvivalDataset)
+        for name, array in [
+            ("covariates", covariates),
+            ("times", self.times[index]),
+            ("events", self.events[index]),
+            ("treatments", None if self.treatments is None else self.treatments[index]),
+        ]:
+            if array is not None:
+                array.setflags(write=False)
+            object.__setattr__(part, name, array)
+        object.__setattr__(part, "feature_names", self.feature_names)
+        return part
 
 
 @dataclass(frozen=True)

@@ -120,13 +120,13 @@ def clip_gradients(grads: list[np.ndarray], clip_norm: float) -> list[np.ndarray
 class _SgdNesterov:
     def __init__(self, params, momentum):
         self.momentum = momentum
-        self.velocity = [np.zeros_like(p) for p in params]
+        self.velocity = np.zeros_like(params)
 
-    def step(self, params, grads, lr):
-        for p, g, v in zip(params, grads, self.velocity):
-            v *= self.momentum
-            v += g
-            p -= lr * (g + self.momentum * v)
+    def step(self, params, grad, lr):
+        v = self.velocity
+        v *= self.momentum
+        v += grad
+        params -= lr * (grad + self.momentum * v)
 
 
 class _Adam:
@@ -135,26 +135,43 @@ class _Adam:
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, params):
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
 
-    def step(self, params, grads, lr):
+    def step(self, params, grad, lr):
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad * grad
+        params -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 def _make_optimizer(params, cfg: OptimizerConfig):
+    """The optimizer of `cfg` for the flat parameter vector `params`."""
     if cfg.kind == "sgd":
         return _SgdNesterov(params, cfg.momentum)
     return _Adam(params)
+
+
+def _flatten_parameters(net: RiskNetwork) -> np.ndarray:
+    """Copy the weights and biases into one float64 vector, in
+    `net.weights + net.biases` order, and rebind them to views of it.
+
+    The optimizers step the whole vector with one set of ufunc calls; every
+    operation is elementwise, so each parameter gets the same floats as a
+    step of its own array would give.
+    """
+    arrays = net.weights + net.biases
+    flat = np.concatenate(arrays, axis=None)
+    ends = np.cumsum([a.size for a in arrays])
+    views = [part.reshape(a.shape) for part, a in zip(np.split(flat, ends[:-1]), arrays)]
+    net.weights, net.biases = views[: len(net.weights)], views[len(net.weights) :]
+    return flat
 
 
 def _derive_seeds(seed: int, n: int) -> list[int]:
@@ -182,7 +199,7 @@ def train(
     batch_rng = np.random.default_rng(batch_seed)
     full_view = sort_view(train_ds)
     l2 = net_config.l2_coefficient
-    params = net.weights + net.biases
+    params = _flatten_parameters(net)
     optimizer = _make_optimizer(params, opt_config)
     history = TrainingHistory(val_cindex=None if val_ds is None else [])
 
@@ -211,7 +228,7 @@ def train(
             grads = backward(net, cache, d_risk, l2)
             if opt_config.clip_norm is not None:
                 grads = clip_gradients(grads, opt_config.clip_norm)
-            optimizer.step(params, grads, lr)
+            optimizer.step(params, np.concatenate(grads, axis=None), lr)
             epoch_loss += loss * batch_ds.n
 
         history.train_loss.append(epoch_loss / sum(b.n for b, _ in batches))

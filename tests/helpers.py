@@ -11,18 +11,32 @@ import csv
 import numpy as np
 
 from coxkit.coxlinear import LinearCoxModel
-from coxkit.data import SurvivalDataset
+from coxkit.data import SurvivalDataset, sort_view
 from coxkit.metrics import concordance_index
 from coxkit.optim import (
     OptimizerConfig,
     TrainingDiverged,
+    TrainingHistory,
     _derive_seeds,
+    clip_gradients,
     kfold,
+    lr_at_epoch,
     sample_configuration,
     train,
 )
 from coxkit.recommend import predict
-from coxkit.riskmlp import SELU_ALPHA, SELU_LAMBDA, RiskNetwork, _activate
+from coxkit.riskmlp import (
+    SELU_ALPHA,
+    SELU_LAMBDA,
+    RiskNetwork,
+    _activate,
+    backward,
+    cox_loss,
+    cox_loss_grad,
+    forward,
+    forward_cached,
+    init_network,
+)
 
 
 def random_dataset(
@@ -259,6 +273,105 @@ def reference_group_risks(model, x, groups):
         else:
             columns.append(np.asarray(model(forced), dtype=float))
     return np.stack(columns, axis=1)
+
+
+def _rows(ds, index):
+    """The rows `index` of `ds`, built and checked by the dataset constructor."""
+    return SurvivalDataset(
+        covariates=ds.covariates[index],
+        times=ds.times[index],
+        events=ds.events[index],
+        treatments=None if ds.treatments is None else ds.treatments[index],
+        feature_names=ds.feature_names,
+    )
+
+
+class _ReferenceSgdNesterov:
+    def __init__(self, params, momentum):
+        self.momentum = momentum
+        self.velocity = [np.zeros_like(p) for p in params]
+
+    def step(self, params, grads, lr):
+        for p, g, v in zip(params, grads, self.velocity):
+            v *= self.momentum
+            v += g
+            p -= lr * (g + self.momentum * v)
+
+
+class _ReferenceAdam:
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params):
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def step(self, params, grads, lr):
+        self.t += 1
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+def reference_train(train_ds, net_config, opt_config, val_ds=None):
+    """Training with one optimizer state per parameter array.
+
+    The oracle for `coxkit.optim.train`, which steps all parameters as one
+    flat vector: the same seeds, batch draws, loss and gradients, then Nesterov
+    SGD or Adam applied array by array, and every batch built through the
+    validating `SurvivalDataset` constructor instead of `subset`.
+    """
+    if train_ds.n_events == 0:
+        raise ValueError("no observed events")
+    init_seed, dropout_seed, batch_seed = _derive_seeds(opt_config.seed, 3)
+    net = init_network(net_config, train_ds.d, init_seed)
+    dropout_rng = np.random.default_rng(dropout_seed)
+    batch_rng = np.random.default_rng(batch_seed)
+    l2 = net_config.l2_coefficient
+    params = net.weights + net.biases
+    if opt_config.kind == "sgd":
+        optimizer = _ReferenceSgdNesterov(params, opt_config.momentum)
+    else:
+        optimizer = _ReferenceAdam(params)
+    history = TrainingHistory(val_cindex=None if val_ds is None else [])
+
+    for epoch in range(opt_config.epochs):
+        lr = lr_at_epoch(opt_config.learning_rate, epoch, opt_config.lr_decay_rate)
+        if opt_config.batch_size is None:
+            batches = [train_ds]
+        else:
+            order = batch_rng.permutation(train_ds.n)
+            size = opt_config.batch_size
+            batches = [_rows(train_ds, order[start : start + size])
+                       for start in range(0, train_ds.n, size)]
+            batches = [b for b in batches if b.events.sum() > 0]
+            if not batches:
+                raise TrainingDiverged(f"epoch {epoch}: every batch lost its events")
+        epoch_loss = 0.0
+        for batch in batches:
+            view = sort_view(batch)
+            risks, cache = forward_cached(net, batch.covariates, dropout_rng)
+            loss = cox_loss(risks, batch, view, l2, net)
+            if not np.isfinite(loss):
+                raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
+            grads = backward(net, cache, cox_loss_grad(risks, batch, view), l2)
+            if opt_config.clip_norm is not None:
+                grads = clip_gradients(grads, opt_config.clip_norm)
+            optimizer.step(params, grads, lr)
+            epoch_loss += loss * batch.n
+        history.train_loss.append(epoch_loss / sum(b.n for b in batches))
+        history.learning_rates.append(lr)
+        if val_ds is not None:
+            val_risks = forward(net, val_ds.covariates)
+            if not np.all(np.isfinite(val_risks)):
+                raise TrainingDiverged(f"non-finite validation risks at epoch {epoch}")
+            history.val_cindex.append(concordance_index(val_ds.times, val_ds.events, val_risks))
+    return net, history
 
 
 def reference_random_search(space, ds, k, n_trials, seed, epochs, optimizer_kind="adam"):

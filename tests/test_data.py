@@ -459,6 +459,77 @@ class TestDatasetValidation:
             )
 
 
+@st.composite
+def _subset_case(draw):
+    """(dataset, index): a dataset of 1-8 patients, maybe with treatments and
+    named features, and an index into it: repeated, unsorted or negative row
+    numbers, or a boolean mask; either may select nothing."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ds = random_dataset(rng, n, d=draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        ds = SurvivalDataset(
+            covariates=ds.covariates,
+            times=ds.times,
+            events=ds.events,
+            treatments=rng.integers(0, 3, size=n),
+            feature_names=tuple(f"f{j}" for j in range(ds.d)),
+        )
+    if draw(st.booleans()):
+        index = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    else:
+        index = np.array(draw(st.lists(st.integers(-n, n - 1), max_size=2 * n)), dtype=np.int64)
+    return ds, index
+
+
+class TestSubset:
+    """`subset` skips the constructor's checks for rows of a validated
+    dataset; it must still equal the constructor on the same rows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_subset_case())
+    def test_matches_constructor(self, case):
+        ds, index = case
+        try:
+            want = SurvivalDataset(
+                covariates=ds.covariates[index],
+                times=ds.times[index],
+                events=ds.events[index],
+                treatments=None if ds.treatments is None else ds.treatments[index],
+                feature_names=ds.feature_names,
+            )
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                ds.subset(index)
+            assert str(raised.value) == str(exc)
+            return
+        got = ds.subset(index)
+        for name in ("covariates", "times", "events", "treatments"):
+            a, b = getattr(got, name), getattr(want, name)
+            if b is None:
+                assert a is None
+                continue
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert not a.flags.writeable
+            assert not np.shares_memory(a, getattr(ds, name))
+        assert got.feature_names == want.feature_names
+        assert got.n_events == want.n_events == int(want.events.sum())
+
+    def test_empty_index_raises_the_constructors_error(self):
+        ds = random_dataset(np.random.default_rng(3), n=5)
+        message = "covariates must be a non-empty n x d matrix"
+        with pytest.raises(ValueError, match=message):
+            ds.subset(np.array([], dtype=np.int64))
+        with pytest.raises(ValueError, match=message):
+            ds.subset(np.zeros(5, dtype=bool))
+
+    @pytest.mark.parametrize("index", [[5], [0, -6], np.ones(4, dtype=bool)])
+    def test_index_outside_the_rows_raises(self, index):
+        ds = random_dataset(np.random.default_rng(4), n=5)
+        with pytest.raises(IndexError):
+            ds.subset(index)
+
+
 class TestSplit:
     def test_paper_sizes(self):
         ds = random_dataset(np.random.default_rng(0), n=6000)

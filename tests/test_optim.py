@@ -1,3 +1,4 @@
+import itertools
 import json
 import multiprocessing
 import os
@@ -24,9 +25,9 @@ from coxkit.optim import (
     sample_configuration,
     train,
 )
-from coxkit.riskmlp import NetworkConfig, forward
+from coxkit.riskmlp import NetworkConfig, forward, from_dict, to_dict
 from coxkit.simulate import SimulationSpec, generate
-from helpers import random_dataset, reference_random_search
+from helpers import random_dataset, reference_random_search, reference_train
 
 
 class TestLrSchedule:
@@ -68,33 +69,80 @@ class TestClipping:
 
 
 class TestOptimizers:
+    """The optimizers step one flat parameter vector in place."""
+
     def test_nesterov_momentum_zero_is_plain_gd(self):
         rng = np.random.default_rng(1)
-        p1 = [rng.normal(size=(3, 2)), rng.normal(size=2)]
-        p2 = [a.copy() for a in p1]
+        p1 = rng.normal(size=8)
+        p2 = p1.copy()
         opt = _SgdNesterov(p1, momentum=0.0)
         for _ in range(10):
-            grads = [rng.normal(size=a.shape) for a in p1]
-            opt.step(p1, grads, lr=0.05)
-            for a, g in zip(p2, grads):
-                a -= 0.05 * g
-        for a, b in zip(p1, p2):
-            assert np.all(np.abs(a - b) < 1e-12)
+            grad = rng.normal(size=p1.shape)
+            opt.step(p1, grad, lr=0.05)
+            p2 -= 0.05 * grad
+        assert np.all(np.abs(p1 - p2) < 1e-12)
 
     def test_adam_zero_gradient_is_identity(self):
         rng = np.random.default_rng(2)
-        params = [rng.normal(size=(2, 2))]
-        frozen = [a.copy() for a in params]
+        params = rng.normal(size=4)
+        frozen = params.copy()
         opt = _Adam(params)
         for _ in range(5):
-            opt.step(params, [np.zeros((2, 2))], lr=0.1)
-        assert np.array_equal(params[0], frozen[0])
+            opt.step(params, np.zeros(4), lr=0.1)
+        assert np.array_equal(params, frozen)
 
     def test_adam_moves_against_gradient(self):
-        params = [np.zeros(2)]
+        params = np.zeros(2)
         opt = _Adam(params)
-        opt.step(params, [np.array([1.0, -1.0])], lr=0.1)
-        assert params[0][0] < 0 < params[0][1]
+        opt.step(params, np.array([1.0, -1.0]), lr=0.1)
+        assert params[0] < 0 < params[1]
+
+
+class TestTrainMatchesReference:
+    """`train` steps all parameters as one flat vector and builds batches
+    with `subset`; `helpers.reference_train` steps each array on its own and
+    builds batches through the validating constructor. Every float agrees."""
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("batch_size", [None, 8, 64])
+    @pytest.mark.parametrize("clip_norm", [None, 1e-3])
+    def test_same_floats(self, kind, batch_size, clip_norm):
+        rng = np.random.default_rng(41)
+        # heavy censoring leaves some batches of 8 without an event
+        ds = random_dataset(rng, n=100, d=4, censor_fraction=0.6)
+        val = random_dataset(rng, n=30, d=4)
+        for dropout, layers, activation in itertools.product(
+            [0.0, 0.4], [1, 2, 3], ["relu", "selu"]
+        ):
+            net_cfg = NetworkConfig(layers, 5, activation, dropout, l2_coefficient=0.5)
+            opt_cfg = OptimizerConfig(
+                kind, 1e-3, 0.1, clip_norm=clip_norm, epochs=3,
+                batch_size=batch_size, seed=layers,
+            )
+            got_net, got = train(ds, net_cfg, opt_cfg, val)
+            want_net, want = reference_train(ds, net_cfg, opt_cfg, val)
+            for a, b in zip(
+                got_net.weights + got_net.biases, want_net.weights + want_net.biases
+            ):
+                assert np.array_equal(a, b)
+            assert got.train_loss == want.train_loss
+            assert got.val_cindex == want.val_cindex
+            assert got.learning_rates == want.learning_rates
+
+    def test_returned_network_round_trips_and_copies_apart(self):
+        ds = random_dataset(np.random.default_rng(42), n=40)
+        net, _ = train(ds, NetworkConfig(2, 4), OptimizerConfig(epochs=3, batch_size=16))
+        arrays = net.weights + net.biases
+        # all parameters are views of the one vector the optimizer stepped
+        assert all(np.shares_memory(a, arrays[0].base) for a in arrays)
+        back = from_dict(json.loads(json.dumps(to_dict(net))))
+        for a, b in zip(arrays, back.weights + back.biases):
+            assert np.array_equal(a, b)
+        twin = net.copy()
+        for a in twin.weights + twin.biases:
+            assert not np.shares_memory(a, arrays[0].base)
+        twin.weights[0] += 1.0
+        assert np.array_equal(net.weights[0], back.weights[0])
 
 
 class TestTrain:
