@@ -19,6 +19,14 @@ from coxkit.data import write_columns
 # consecutive redraws `bootstrap_ci` allows a resample without a comparable pair
 MAX_REDRAWS = 100
 
+# `concordance_index` compares the last prefix % _WINDOW positions of each
+# event's prefix with its rank directly, _EVENT_CHUNK events at a time (1 MiB
+# of ranks), and counts the rest by block sorts of 2**k positions, k >=
+# _WINDOW_BITS.
+_WINDOW_BITS = 5
+_WINDOW = 1 << _WINDOW_BITS
+_EVENT_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class KaplanMeierCurve:
@@ -83,14 +91,24 @@ def concordance_index(times, events, risks) -> float:
     Kendall tau. Patients are sorted by time, latest first, with censored
     patients before events at a tied time, so each event's comparable set is
     a prefix of that order: everyone before the run of events sharing its
-    time. A prefix splits into at most log2(n) aligned blocks of
-    power-of-two size, as in a Fenwick tree. For each block size, one sort
-    of the dense risk ranks within their blocks and two binary searches per
-    event count the lower and the equal risks in the event's block. That is
-    log2(n) vectorised passes of O(n log n) each, O(n log^2 n) in all, with
-    no loop over patients. Concordant pairs, risk ties and comparable pairs
-    are integers, so the result equals the pairwise sum of 1.0s and 0.5s
-    bit for bit.
+    time. Each event then needs two counts over its prefix, of the dense
+    risk ranks equal to its own and of those below it, taken in three parts:
+
+    - Ties, in one pass. One sort of `rank * n + position` puts each rank's
+      patients in time order, so an event's ties are the entries from
+      `rank * n` up to `rank * n + prefix`: two binary searches per event.
+    - The last `prefix % 32` positions of a prefix. They open row
+      `prefix // 32` of the ranks laid out 32 to a row, and are compared
+      with the event's rank directly, `_EVENT_CHUNK` events at a time.
+    - The rest of the prefix splits into aligned blocks of power-of-two size
+      2**k, k >= 5, at most one per size, as in a Fenwick tree. For each
+      block size, one sort of the ranks within their blocks and one binary
+      search per event count the lower ranks in the event's block.
+
+    That is O(n log^2 n) time with no loop over patients, and O(n) memory:
+    the direct comparisons hold `_EVENT_CHUNK` x 32 entries at a time.
+    Concordant pairs, risk ties and comparable pairs are integers, so the
+    result equals the pairwise sum of 1.0s and 0.5s bit for bit.
     """
     times, events, risks = _validate_triples(times, events, risks)
     n = times.shape[0]
@@ -112,21 +130,64 @@ def concordance_index(times, events, risks) -> float:
     if comparable == 0:
         raise ValueError("no comparable pairs")
 
+    ties = _tied_before(rank, prefix, event_rank)
+    lower = _lower_in_window(rank, prefix, event_rank)
+    lower += _lower_in_blocks(rank, distinct.size, prefix, event_rank)
+    return (lower + 0.5 * ties) / comparable
+
+
+# Only sums of the binary searches below are used, so their needles are
+# sorted, which keeps each search near the one before it in memory.
+
+
+def _tied_before(rank, prefix, event_rank) -> int:
+    """Sum over events of the positions before `prefix` holding `event_rank`."""
+    n = rank.shape[0]
+    # each rank's positions in order; a prefix ends before rank * n + prefix
+    by_rank = np.sort(rank * n + np.arange(n))
+    rank_start = event_rank * n
+    return int(np.searchsorted(by_rank, np.sort(rank_start + prefix)).sum()) - int(
+        np.searchsorted(by_rank, np.sort(rank_start)).sum()
+    )
+
+
+def _lower_in_window(rank, prefix, event_rank) -> int:
+    """Sum over events of the ranks below `event_rank` among the last
+    `prefix % _WINDOW` positions before `prefix`."""
+    n = rank.shape[0]
+    # Those positions open row prefix >> _WINDOW_BITS of the ranks laid out
+    # _WINDOW to a row. The padding after rank n - 1 is never among them,
+    # because a prefix is below n.
+    window = np.zeros(-(-n // _WINDOW) * _WINDOW, dtype=rank.dtype)
+    window[:n] = rank
+    window = window.reshape(-1, _WINDOW)
+    column = np.arange(_WINDOW)
     lower = 0
-    ties = 0
-    for k in range(int(prefix.max()).bit_length()):
+    for start in range(0, prefix.size, _EVENT_CHUNK):
+        chunk = slice(start, start + _EVENT_CHUNK)
+        ends = prefix[chunk]
+        below = window[ends >> _WINDOW_BITS] < event_rank[chunk, None]
+        below &= column < (ends & (_WINDOW - 1))[:, None]
+        lower += int(np.count_nonzero(below))
+    return lower
+
+
+def _lower_in_blocks(rank, n_ranks, prefix, event_rank) -> int:
+    """Sum over events of the ranks below `event_rank` in the aligned blocks
+    of 2**k positions, k >= _WINDOW_BITS, that make up the rest of the
+    positions before `prefix`; ranks are below `n_ranks`."""
+    position = np.arange(rank.shape[0])
+    lower = 0
+    for k in range(_WINDOW_BITS, int(prefix.max()).bit_length()):
         # Ranks sorted within blocks of 2**k positions: block b starts at
         # b << k in `keys`, and a prefix with bit k set takes the block
         # (prefix >> k) - 1.
         takes_block = ((prefix >> k) & 1).astype(bool)
         block = (prefix[takes_block] >> k) - 1
-        keys = np.sort((position >> k) * distinct.size + rank)
-        needle = block * distinct.size + event_rank[takes_block]
-        below = np.searchsorted(keys, needle, side="left")
-        up_to = np.searchsorted(keys, needle, side="right")
-        lower += int(below.sum()) - (int(block.sum()) << k)
-        ties += int((up_to - below).sum())
-    return (lower + 0.5 * ties) / comparable
+        keys = np.sort((position >> k) * n_ranks + rank)
+        needle = np.sort(block * n_ranks + event_rank[takes_block])
+        lower += int(np.searchsorted(keys, needle).sum()) - (int(block.sum()) << k)
+    return lower
 
 
 def bootstrap_ci(

@@ -12,7 +12,7 @@ import numpy as np
 
 from coxkit.coxlinear import LinearCoxModel
 from coxkit.data import SurvivalDataset, sort_view
-from coxkit.metrics import concordance_index
+from coxkit.metrics import MAX_REDRAWS
 from coxkit.optim import (
     OptimizerConfig,
     TrainingDiverged,
@@ -98,12 +98,15 @@ def pair_scan_cindex(times, events, risks) -> float:
     A second oracle for sizes where `brute_force_cindex` is too slow: each
     block of 256 rows is compared with every patient through (256, n)
     boolean masks, so it costs O(n^2) time but only O(256 n) memory. It
-    shares no code with the sort-based count in `coxkit.metrics`.
+    shares no code with the sort-based count in `coxkit.metrics`. Like it,
+    it refuses non-finite risks, which no pair order can rank.
     """
     chunk = 256
     times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=int)
     risks = np.asarray(risks, dtype=float)
+    if not np.all(np.isfinite(risks)):
+        raise ValueError("risks must be finite")
     n = times.shape[0]
     numerator = 0.0
     comparable = 0
@@ -123,6 +126,35 @@ def pair_scan_cindex(times, events, risks) -> float:
     if comparable == 0:
         raise ValueError("no comparable pairs")
     return numerator / comparable
+
+
+def reference_bootstrap_ci(times, events, risks, n_replicates=200, alpha=0.05, seed=0):
+    """(lower, upper, redraws) of the percentile bootstrap C-index interval.
+
+    The oracle for `coxkit.metrics.bootstrap_ci`: one resample per replicate
+    from the same `rng.integers` draws, scored by `pair_scan_cindex`, and a
+    resample with no comparable pair redrawn, at most `MAX_REDRAWS` times in
+    a row before `RuntimeError`.
+    """
+    times = np.asarray(times, dtype=float)
+    events = np.asarray(events, dtype=int)
+    risks = np.asarray(risks, dtype=float)
+    rng = np.random.default_rng(seed)
+    n = times.shape[0]
+    values = []
+    redraws = 0
+    for _ in range(n_replicates):
+        for _ in range(MAX_REDRAWS + 1):
+            idx = rng.integers(0, n, size=n)
+            try:
+                values.append(pair_scan_cindex(times[idx], events[idx], risks[idx]))
+                break
+            except ValueError:
+                redraws += 1
+        else:
+            raise RuntimeError("persistent degenerate resamples")
+    lower, upper = np.percentile(values, [100.0 * alpha / 2, 100.0 * (1 - alpha / 2)])
+    return float(lower), float(upper), redraws
 
 
 def cumsum_loglik_grad_hess(beta, xs, es, starts, stops):
@@ -323,8 +355,9 @@ def reference_train(train_ds, net_config, opt_config, val_ds=None):
 
     The oracle for `coxkit.optim.train`, which steps all parameters as one
     flat vector: the same seeds, batch draws, loss and gradients, then Nesterov
-    SGD or Adam applied array by array, and every batch built through the
-    validating `SurvivalDataset` constructor instead of `subset`.
+    SGD or Adam applied array by array, every batch built through the
+    validating `SurvivalDataset` constructor instead of `subset`, and the
+    validation C-index taken by `pair_scan_cindex`.
     """
     if train_ds.n_events == 0:
         raise ValueError("no observed events")
@@ -370,7 +403,7 @@ def reference_train(train_ds, net_config, opt_config, val_ds=None):
             val_risks = forward(net, val_ds.covariates)
             if not np.all(np.isfinite(val_risks)):
                 raise TrainingDiverged(f"non-finite validation risks at epoch {epoch}")
-            history.val_cindex.append(concordance_index(val_ds.times, val_ds.events, val_risks))
+            history.val_cindex.append(pair_scan_cindex(val_ds.times, val_ds.events, val_risks))
     return net, history
 
 
@@ -381,7 +414,8 @@ def reference_random_search(space, ds, k, n_trials, seed, epochs, optimizer_kind
     trial x fold pairs in worker processes: configurations drawn in trial
     order, every fold trained and scored in turn, a fold that diverges or
     whose holdout has no comparable pair scored 0 with its error recorded as
-    `type: message`, ties to the earlier trial.
+    `type: message`, ties to the earlier trial, and each holdout scored by
+    `pair_scan_cindex`.
     """
     sample_rng = np.random.default_rng(seed)
     fold_seed, *trial_seeds = _derive_seeds(seed, 1 + n_trials)
@@ -396,7 +430,7 @@ def reference_random_search(space, ds, k, n_trials, seed, epochs, optimizer_kind
             try:
                 net, _ = train(fold_train, net_config, opt_config)
                 risks = predict(net, fold_holdout.covariates)
-                score = concordance_index(fold_holdout.times, fold_holdout.events, risks)
+                score = pair_scan_cindex(fold_holdout.times, fold_holdout.events, risks)
             except (TrainingDiverged, ValueError) as exc:
                 score, error = 0.0, f"{type(exc).__name__}: {exc}"
             fold_scores.append(float(score))

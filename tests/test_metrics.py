@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from coxkit.metrics import (
+    _EVENT_CHUNK,
     bootstrap_ci,
     concordance_index,
     kaplan_meier,
@@ -14,7 +17,12 @@ from coxkit.metrics import (
     write_km_csv,
 )
 from coxkit.simulate import SimulationSpec, generate
-from helpers import brute_force_cindex, pair_scan_cindex, reference_write_km_csv
+from helpers import (
+    brute_force_cindex,
+    pair_scan_cindex,
+    reference_bootstrap_ci,
+    reference_write_km_csv,
+)
 
 
 class TestConcordance:
@@ -105,9 +113,51 @@ class TestConcordanceLargeOracle:
     def test_matches_pair_scan_exactly(self, n, kind):
         rng = np.random.default_rng(1000 + n + len(kind))
         times, events, risks = _large_instance(rng, n, kind)
+        if kind == "all_events":
+            # 5000 events take two chunks of the window comparison
+            assert (int(events.sum()) > _EVENT_CHUNK) == (n == 5000)
         assert concordance_index(times, events, risks) == pair_scan_cindex(
             times, events, risks
         )
+
+    # Sizes on either side of the 32-wide window and of the block sizes
+    # 64 and 1024, where an event's prefix gains a level.
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 63, 64, 65, 1023, 1024, 1025])
+    @pytest.mark.parametrize("kind", ["tied", "resampled"])
+    def test_matches_pair_scan_at_window_and_block_edges(self, n, kind):
+        rng = np.random.default_rng(2000 + n + len(kind))
+        if kind == "tied":
+            times = rng.integers(1, max(2, n // 4), size=n).astype(float)
+            events = rng.integers(0, 2, size=n)
+            risks = rng.integers(-3, 4, size=n).astype(float)
+        else:
+            idx = rng.integers(0, n, size=n)
+            times = rng.uniform(1, 10, size=n)[idx]
+            events = (rng.random(n) < 0.7).astype(int)[idx]
+            risks = rng.normal(size=n)[idx]
+        try:
+            expected = pair_scan_cindex(times, events, risks)
+        except ValueError:
+            with pytest.raises(ValueError, match="no comparable pairs"):
+                concordance_index(times, events, risks)
+            return
+        assert concordance_index(times, events, risks) == expected
+
+    def test_memory_stays_linear(self):
+        # A window comparison of every event at once would hold 70,000 x 32
+        # ranks and masks, a peak near 27 MiB; the chunked one peaks near 11.
+        rng = np.random.default_rng(100_000)
+        n = 100_000
+        times = rng.uniform(1, 10, size=n)
+        events = (rng.random(n) < 0.7).astype(int)
+        risks = rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            concordance_index(times, events, risks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 # Heavily tied instances: a few distinct times and risks.
@@ -123,6 +173,31 @@ def _columns(rows):
     return times.astype(float), events, risks.astype(float)
 
 
+@st.composite
+def _resampled_rows(draw):
+    """Up to 300 rows drawn with replacement from up to 40, as a bootstrap
+    resample repeats patients, with heavy time ties at the smallest time
+    range, and optionally all risks equal or a single event."""
+    top = draw(st.sampled_from([4, 40, 1000]))
+    base = draw(
+        st.lists(
+            st.tuples(st.integers(1, top), st.integers(0, 1), st.integers(-3, 3)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    n = draw(st.integers(1, 300))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=n, max_size=n))
+    times, events, risks = _columns([base[i] for i in picks])
+    variant = draw(st.sampled_from(["as drawn", "equal risks", "one event"]))
+    if variant == "equal risks":
+        risks = np.zeros_like(risks)
+    elif variant == "one event":
+        events = np.zeros_like(events)
+        events[draw(st.integers(0, events.size - 1))] = 1
+    return times, events, risks
+
+
 class TestConcordanceProperties:
     @settings(max_examples=300, deadline=None)
     @given(_tied_rows)
@@ -130,6 +205,20 @@ class TestConcordanceProperties:
         times, events, risks = _columns(rows)
         try:
             expected = brute_force_cindex(times, events, risks)
+        except ValueError:
+            with pytest.raises(ValueError, match="no comparable pairs"):
+                concordance_index(times, events, risks)
+            return
+        assert concordance_index(times, events, risks) == expected
+
+    # `_tied_rows` stops at 60 rows, where prefixes reach one block level
+    # above the 32-wide window; these reach 300 rows and four levels.
+    @settings(max_examples=200, deadline=None)
+    @given(_resampled_rows())
+    def test_matches_pair_scan_on_resamples(self, columns):
+        times, events, risks = columns
+        try:
+            expected = pair_scan_cindex(times, events, risks)
         except ValueError:
             with pytest.raises(ValueError, match="no comparable pairs"):
                 concordance_index(times, events, risks)
@@ -493,3 +582,37 @@ class TestBootstrap:
         # no comparable pairs exist in any resample
         with pytest.raises(RuntimeError, match="degenerate"):
             bootstrap_ci([1.0, 2.0], [0, 0], [0.1, 0.2], n_replicates=5)
+
+
+class TestBootstrapMatchesReference:
+    """`bootstrap_ci` against the per-replicate loop of
+    `helpers.reference_bootstrap_ci`, which scores each resample by the pair
+    scan: the same bounds and redraw count, exactly."""
+
+    def test_few_events_force_redraws(self):
+        times = np.arange(1.0, 13.0)
+        events = np.zeros(12, dtype=int)
+        events[[3, 8]] = 1
+        risks = np.arange(12.0) % 5
+        ci = bootstrap_ci(times, events, risks, n_replicates=40, seed=3)
+        expected = reference_bootstrap_ci(times, events, risks, n_replicates=40, seed=3)
+        assert ci.redraws > 0
+        assert (ci.lower, ci.upper, ci.redraws) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        _tied_rows,
+        st.integers(2, 30),
+        st.sampled_from([0.05, 0.2, 0.5]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_same_interval_and_redraws(self, rows, n_replicates, alpha, seed):
+        times, events, risks = _columns(rows)
+        try:
+            expected = reference_bootstrap_ci(times, events, risks, n_replicates, alpha, seed)
+        except RuntimeError:
+            with pytest.raises(RuntimeError, match="degenerate"):
+                bootstrap_ci(times, events, risks, n_replicates, alpha, seed)
+            return
+        ci = bootstrap_ci(times, events, risks, n_replicates, alpha, seed)
+        assert (ci.lower, ci.upper, ci.redraws) == expected
