@@ -24,11 +24,10 @@ import numpy as np
 from coxkit import coxlinear, metrics, optim, recommend, riskmlp
 from coxkit.data import (
     StandardizationParams,
-    append_treatment_feature,
     load_csv,
+    model_inputs,
     read_columns,
     split_indices,
-    standardize_apply,
     standardize_fit,
     write_columns,
     write_csv,
@@ -285,18 +284,14 @@ def _load_source(dataset: DatasetConfig):
 
 
 def _prepare_splits(config: TrainConfig):
-    """Load, split, standardize by the training part's fit, then append the
-    treatment label, if any, as the last input, so labels are never rescaled;
-    the three parts, the test part's true risks (or None) and the
-    standardization. `recommend` only standardizes, and `group_risks`
-    appends each group in the label's place."""
+    """Load and split, then build each part's model inputs by the training
+    part's standardization; the three parts, the test part's true risks (or
+    None) and the standardization."""
     ds, true_risks = _load_source(config.dataset)
     idx = split_indices(ds.n, config.split.fractions, config.split.seed)
     parts = [ds.subset(i) for i in idx]
     params = standardize_fit(parts[0])
-    parts = [standardize_apply(p, params) for p in parts]
-    if ds.treatments is not None:
-        parts = [append_treatment_feature(p) for p in parts]
+    parts = [model_inputs(p, params) for p in parts]
     test_risks = None if true_risks is None else true_risks[idx[2]]
     standardization = {"means": params.means.tolist(), "stddevs": params.stddevs.tolist()}
     return parts, test_risks, standardization
@@ -461,16 +456,14 @@ def _read_model(path):
 
 def cmd_recommend(args) -> int:
     model, feature_names, params, labels, model_hash = _read_model(args.model)
-    # no name holds the loaded data, so it is freed once standardized; the
-    # treatment is appended, group by group, in `group_risks`
-    ds = standardize_apply(_load_source(_flag_dataset(args))[0], params)
+    # no name holds the loaded data, so it is freed once its inputs are built
+    ds = model_inputs(_load_source(_flag_dataset(args))[0], params)
     if ds.treatments is None:
         raise UsageError(f"{args.data}: no treatment column {args.treatment_col!r}")
-    inputs = ds.feature_names + ("treatment",)
-    if inputs != feature_names:
+    if ds.feature_names != feature_names:
         raise UsageError(
             f"{args.data}: model {args.model} takes inputs {list(feature_names)}, "
-            f"data gives {list(inputs)}"
+            f"data gives {list(ds.feature_names)}"
         )
     unseen = np.setdiff1d(ds.treatments, labels or [])
     if unseen.size:

@@ -1,4 +1,4 @@
-"""Loading, validation, splitting, and standardization of right-censored
+"""Loading, validation, splitting, and model inputs of right-censored
 survival datasets.
 
 A dataset couples an n x d covariate matrix with an observed time, an event
@@ -450,8 +450,8 @@ def split(
 def standardize_fit(ds: SurvivalDataset) -> StandardizationParams:
     """Per-feature mean and population (n-denominator) stddev.
 
-    Fit on the training split only; apply the same params to validation and
-    test data.
+    Fit on the training split only; `model_inputs` applies the same params to
+    every split.
     """
     means = ds.covariates.mean(axis=0)
     stds = ds.covariates.std(axis=0)
@@ -459,36 +459,30 @@ def standardize_fit(ds: SurvivalDataset) -> StandardizationParams:
     return StandardizationParams(means=means, stddevs=stds)
 
 
-def standardize_apply(
-    ds: SurvivalDataset, params: StandardizationParams
-) -> SurvivalDataset:
-    """Center and scale covariates; times, events, and treatments untouched."""
+def model_inputs(ds: SurvivalDataset, params: StandardizationParams) -> SurvivalDataset:
+    """The inputs a risk model takes: the covariates centered and scaled by
+    `params`, then the treatment label, when `ds` has one, as the last input.
+
+    The label is never rescaled. The result shares no memory with `ds`: its
+    times are copied here, and the constructor's int64 casts copy its events
+    and treatments.
+    """
     if params.means.shape[0] != ds.d:
         raise ValueError(
             f"params fitted for {params.means.shape[0]} features, dataset has {ds.d}"
         )
+    names = ds.feature_names
+    inputs = np.empty((ds.n, ds.d + (ds.treatments is not None)))
+    scaled = inputs[:, : ds.d]  # written in place: no n x d temporary
+    np.subtract(ds.covariates, params.means, out=scaled)
+    np.divide(scaled, params.stddevs, out=scaled)
+    if ds.treatments is not None:
+        inputs[:, -1] = ds.treatments
+        names += ("treatment",)
     return SurvivalDataset(
-        covariates=(ds.covariates - params.means) / params.stddevs,
-        times=ds.times,
+        covariates=inputs,
+        times=ds.times.copy(),
         events=ds.events,
         treatments=ds.treatments,
-        feature_names=ds.feature_names,
-    )
-
-
-def append_treatment_feature(ds: SurvivalDataset) -> SurvivalDataset:
-    """Append the treatment label as the last covariate column.
-
-    Risk models take the treatment group as a plain input feature, always
-    their last; this keeps the label out of standardization (append after
-    standardizing).
-    """
-    if ds.treatments is None:
-        raise ValueError("dataset has no treatments")
-    return SurvivalDataset(
-        covariates=np.column_stack([ds.covariates, ds.treatments.astype(float)]),
-        times=ds.times,
-        events=ds.events,
-        treatments=ds.treatments,
-        feature_names=tuple(ds.feature_names) + ("treatment",),
+        feature_names=names,
     )

@@ -1,6 +1,6 @@
 """Personalized treatment recommendations from a fitted risk model.
 
-`group_risks` scores every patient with each group appended as the treatment
+`group_risks` scores every patient with each group in place of the treatment
 input, always the model's last, and the recommended group is the one of
 lowest risk (ties to the smaller label). Patients are partitioned by whether
 their assigned treatment matches it, and the two subsets are compared by
@@ -62,14 +62,13 @@ def predict(model, x: np.ndarray) -> np.ndarray:
 
 
 def group_risks(model, x, groups) -> np.ndarray:
-    """The (rows, groups) risks of `x` with each group appended as the last input.
+    """The (rows, groups) risks of the model inputs `x` with each group in
+    place of the last input, the treatment.
 
     A 1-d `x` is one row. Column k holds the model's risks of every row of `x`
-    followed by a treatment input of `groups[k]`.
+    with its last input set to `groups[k]`; `x` itself is never written.
     """
-    x = np.atleast_2d(x)
-    forced = np.empty((x.shape[0], x.shape[1] + 1))
-    forced[:, :-1] = x
+    forced = np.array(x, dtype=float, ndmin=2)
     risks = np.empty((forced.shape[0], len(groups)))
     for k, group in enumerate(groups):
         forced[:, -1] = group
@@ -82,12 +81,17 @@ def group_risks(model, x, groups) -> np.ndarray:
 def evaluate_recommendations(ds_test: SurvivalDataset, model) -> RecommendationReport:
     """Partition test patients by agreement with the model's recommendations.
 
-    The dataset holds the model's inputs but the treatment, which the model
-    takes as its last input (standardize, but do not append the treatment
-    feature). Errors if either subset of the partition is empty.
+    The dataset holds the model's inputs, as `data.model_inputs` builds them:
+    the last is the treatment label, which each group overwrites in turn.
+    Errors if either subset of the partition is empty.
     """
     if ds_test.treatments is None:
         raise ValueError("dataset has no treatments")
+    if not np.array_equal(ds_test.covariates[:, -1], ds_test.treatments):
+        raise ValueError(
+            "the last input column is not the treatment label: "
+            "build the dataset with data.model_inputs"
+        )
     groups = np.unique(ds_test.treatments)
     if groups.size < 2:
         raise ValueError("need at least two treatment groups")

@@ -11,7 +11,7 @@ import csv
 import numpy as np
 
 from coxkit.coxlinear import LinearCoxModel
-from coxkit.data import SurvivalDataset, sort_view
+from coxkit.data import StandardizationParams, SurvivalDataset, sort_view
 from coxkit.metrics import MAX_REDRAWS
 from coxkit.optim import (
     OptimizerConfig,
@@ -286,18 +286,52 @@ def reference_backward(net, cache, d_risk, l2_coefficient=0.0):
     return weight_grads, bias_grads
 
 
-def reference_group_risks(model, x, groups):
-    """Risks of `x` with each group appended as the last input, as columns.
+def identity_standardization(d: int) -> StandardizationParams:
+    """Means 0 and stddevs 1: `model_inputs` then leaves every covariate
+    bit-identical, -0.0 included, for tests that need unscaled inputs."""
+    return StandardizationParams(np.zeros(d), np.ones(d))
 
-    The oracle for `coxkit.recommend.group_risks`: a fresh `np.column_stack`
-    of `x` and the group per group, a linear model as `x @ beta`, a network
-    through `reference_forward` in inference mode, and the columns stacked at
-    the end.
+
+def reference_model_inputs(ds, params):
+    """The oracle for `coxkit.data.model_inputs`: standardize into one new
+    dataset, then, when `ds` has treatments, `np.column_stack` the label onto
+    it as the last input in another."""
+    if params.means.shape[0] != ds.d:
+        raise ValueError(
+            f"params fitted for {params.means.shape[0]} features, dataset has {ds.d}"
+        )
+    ds = SurvivalDataset(
+        covariates=(ds.covariates - params.means) / params.stddevs,
+        times=ds.times,
+        events=ds.events,
+        treatments=ds.treatments,
+        feature_names=ds.feature_names,
+    )
+    if ds.treatments is None:
+        return ds
+    return SurvivalDataset(
+        covariates=np.column_stack([ds.covariates, ds.treatments.astype(float)]),
+        times=ds.times,
+        events=ds.events,
+        treatments=ds.treatments,
+        feature_names=tuple(ds.feature_names) + ("treatment",),
+    )
+
+
+def reference_group_risks(model, x, groups):
+    """Risks of the model inputs `x` with each group as the last input, as
+    columns.
+
+    The oracle for `coxkit.recommend.group_risks`: a fresh copy of `x` with
+    its last column set to the group, per group, a linear model as
+    `x @ beta`, a network through `reference_forward` in inference mode, and
+    the columns stacked at the end.
     """
     x = np.atleast_2d(x)
     columns = []
     for group in groups:
-        forced = np.column_stack([x, np.full(x.shape[0], float(group))])
+        forced = x.copy()
+        forced[:, -1] = group
         if isinstance(model, LinearCoxModel):
             columns.append(forced @ model.beta)
         elif isinstance(model, RiskNetwork):

@@ -34,13 +34,7 @@ import pytest
 from conftest import ACCEPTANCE_LINES
 from coxkit.cli import main as cli_main
 from coxkit.coxlinear import fit_cph
-from coxkit.data import (
-    append_treatment_feature,
-    sort_view,
-    split_indices,
-    standardize_apply,
-    standardize_fit,
-)
+from coxkit.data import model_inputs, sort_view, split_indices, standardize_fit
 from coxkit.metrics import concordance_index, kaplan_meier, log_rank, risk_mse
 from coxkit.optim import OptimizerConfig, train
 from coxkit.recommend import evaluate_recommendations, predict
@@ -56,6 +50,7 @@ from coxkit.riskmlp import (
 from coxkit.simulate import SimulationSpec, generate, risk_linear
 from helpers import (
     brute_force_cindex,
+    identity_standardization,
     numeric_gradient,
     random_dataset,
     reference_forward,
@@ -101,12 +96,7 @@ def run_experiment(spec, net_config, opt_config) -> ExperimentResult:
     parts = [sim.dataset.subset(i) for i in idx]
     true_test = sim.true_risks[idx[2]]
     params = standardize_fit(parts[0])
-    parts = [standardize_apply(p, params) for p in parts]
-    # the recommender appends each group to the test covariates itself
-    test_without_treatment = parts[2]
-    if spec.with_treatment:
-        parts = [append_treatment_feature(p) for p in parts]
-    train_ds, _, test_ds = parts
+    train_ds, _, test_ds = [model_inputs(p, params) for p in parts]
 
     cph = fit_cph(train_ds)
     cph_risks = predict(cph, test_ds.covariates)
@@ -115,7 +105,7 @@ def run_experiment(spec, net_config, opt_config) -> ExperimentResult:
 
     recommendation_report = None
     if spec.with_treatment:
-        recommendation_report = evaluate_recommendations(test_without_treatment, net)
+        recommendation_report = evaluate_recommendations(test_ds, net)
 
     return ExperimentResult(
         c_cph=concordance_index(test_ds.times, test_ds.events, cph_risks),
@@ -357,8 +347,8 @@ def test_criterion_8_constant_cph_recommender():
             with_treatment=True, seed=80,
         )
     )
-    ds = sim.dataset
-    model = fit_cph(append_treatment_feature(ds))
+    ds = model_inputs(sim.dataset, identity_standardization(sim.dataset.d))
+    model = fit_cph(ds)
     rec = evaluate_recommendations(ds, model)
     spread = float(rec.rec_values.max() - rec.rec_values.min())
     constant_group = rec.recommended[0]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coxkit import cli, optim
+from coxkit import cli, optim, riskmlp
 from coxkit.cli import (
     UsageError,
     build_parser,
@@ -23,11 +23,18 @@ from coxkit.cli import (
     main,
     write_svg,
 )
-from coxkit.data import load_csv, split_indices, write_columns, write_csv
+from coxkit.data import (
+    StandardizationParams,
+    load_csv,
+    split_indices,
+    write_columns,
+    write_csv,
+)
 from coxkit.metrics import kaplan_meier
 from coxkit.plots import render_km_svg
 from coxkit.simulate import SimulationSpec, generate
 from helpers import (
+    reference_model_inputs,
     reference_write_csv,
     reference_write_history,
     reference_write_true_risks,
@@ -753,6 +760,28 @@ class TestRecommendCommand:
         run(["recommend", "--model", str(model), "--data", str(data), "--out-dir", str(o2)])
         for name in ("recommendation.json", "km_recommendation.csv", "recommendation.svg"):
             assert read_bytes(o1 / name) == read_bytes(o2 / name)
+
+    def test_rec_values_are_the_model_on_its_own_inputs(
+        self, tmp_path, trained_treatment_model
+    ):
+        """Each `rec_values` entry is exactly the network's risk with the
+        treatment input 1 minus with 0, on inputs built by the oracle from the
+        model file's standardization."""
+        model, data = trained_treatment_model
+        out = tmp_path / "rec"
+        assert run(["recommend", "--model", str(model), "--data", str(data),
+                    "--out-dir", str(out)]) == 0
+        payload = json.loads(model.read_text())
+        net = riskmlp.from_dict(payload)
+        std = payload["standardization"]
+        params = StandardizationParams(std["means"], std["stddevs"])
+        x = reference_model_inputs(load_csv(data), params).covariates.copy()
+        risks = {}
+        for label in (0, 1):
+            x[:, -1] = label
+            risks[label] = riskmlp.forward(net, x)
+        body = json.loads((out / "recommendation.json").read_text())
+        assert body["rec_values"] == (risks[1] - risks[0]).tolist()
 
     def test_data_without_treatment_exit_2(self, tmp_path, trained_treatment_model):
         model, _ = trained_treatment_model

@@ -277,14 +277,14 @@ class TestPredictAndRecommender:
 
     def test_recommender_same_group(self):
         model = LinearCoxModel(np.array([0.1, 0.7]), True, 1, -1.0)
-        x = np.random.default_rng(14).normal(size=(6, 2))[:, 1:]
+        x = np.random.default_rng(14).normal(size=(6, 2))
         risks = group_risks(model, x, [1, 1])
         assert np.array_equal(risks[:, 0] - risks[:, 1], np.zeros(6))
 
     def test_recommender_value(self):
         # beta[-1] * (1 - 0) for every patient, up to the rounding of x @ beta
         model = LinearCoxModel(np.array([0.1, 0.7]), True, 1, -1.0)
-        x = np.random.default_rng(15).normal(size=(6, 2))[:, 1:]
+        x = np.random.default_rng(15).normal(size=(6, 2))
         risks = group_risks(model, x, [1, 0])
         np.testing.assert_allclose(risks[:, 0] - risks[:, 1], 0.7, rtol=0, atol=1e-15)
 

@@ -3,26 +3,31 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coxkit import data
 from coxkit.data import (
     CsvParseError,
     SchemaError,
+    StandardizationParams,
     SurvivalDataset,
-    append_treatment_feature,
     load_csv,
+    model_inputs,
     read_columns,
     sort_view,
     split,
     split_indices,
-    standardize_apply,
     standardize_fit,
     write_columns,
     write_csv,
 )
-from helpers import random_dataset, reference_write_csv
+from helpers import (
+    identity_standardization,
+    random_dataset,
+    reference_model_inputs,
+    reference_write_csv,
+)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -568,20 +573,20 @@ class TestStandardize:
         params = standardize_fit(ds)
         assert params.means[0] == 2.0
         assert params.stddevs[0] == 1.0  # population convention
-        out = standardize_apply(ds, params)
+        out = model_inputs(ds, params)
         assert np.array_equal(out.covariates[:, 0], [-1.0, 1.0])
 
     def test_constant_column_flagged(self):
         ds = SurvivalDataset(covariates=[[5.0], [5.0]], times=[1, 2], events=[1, 1])
         params = standardize_fit(ds)
         assert params.stddevs[0] == 1.0
-        out = standardize_apply(ds, params)
+        out = model_inputs(ds, params)
         assert np.array_equal(out.covariates[:, 0], [0.0, 0.0])
 
     def test_fit_apply_normalizes(self):
         rng = np.random.default_rng(3)
         ds = random_dataset(rng, n=200, d=4)
-        out = standardize_apply(ds, standardize_fit(ds))
+        out = model_inputs(ds, standardize_fit(ds))
         assert np.all(np.abs(out.covariates.mean(axis=0)) < 1e-9)
         assert np.all(np.abs(out.covariates.std(axis=0) - 1.0) < 1e-9)
 
@@ -589,13 +594,13 @@ class TestStandardize:
         rng = np.random.default_rng(4)
         train = random_dataset(rng, n=100, d=2)
         test = random_dataset(rng, n=100, d=2)
-        out = standardize_apply(test, standardize_fit(train))
+        out = model_inputs(test, standardize_fit(train))
         assert np.any(np.abs(out.covariates.mean(axis=0)) > 1e-6)
 
     def test_times_events_untouched(self):
         rng = np.random.default_rng(5)
         ds = random_dataset(rng, n=50)
-        out = standardize_apply(ds, standardize_fit(ds))
+        out = model_inputs(ds, standardize_fit(ds))
         assert np.array_equal(out.times, ds.times)
         assert np.array_equal(out.events, ds.events)
 
@@ -603,7 +608,7 @@ class TestStandardize:
         rng = np.random.default_rng(6)
         params = standardize_fit(random_dataset(rng, n=10, d=3))
         with pytest.raises(ValueError, match="features"):
-            standardize_apply(random_dataset(rng, n=10, d=2), params)
+            model_inputs(random_dataset(rng, n=10, d=2), params)
 
     @pytest.mark.parametrize(
         "means, stddevs",
@@ -667,12 +672,83 @@ class TestTreatmentFeature:
             events=[1, 1],
             treatments=[1, 0],
         )
-        out = append_treatment_feature(ds)
+        out = model_inputs(ds, identity_standardization(1))
         assert out.d == 2
         assert np.array_equal(out.covariates[:, 1], [1.0, 0.0])
         assert out.feature_names[-1] == "treatment"
 
-    def test_requires_treatments(self):
+    def test_without_treatments_appends_nothing(self):
         ds = SurvivalDataset(covariates=[[0.1]], times=[1.0], events=[1])
-        with pytest.raises(ValueError, match="no treatments"):
-            append_treatment_feature(ds)
+        out = model_inputs(ds, identity_standardization(1))
+        assert out.d == 1
+        assert out.feature_names == ds.feature_names
+        assert out.treatments is None
+
+
+class TestModelInputs:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        d=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        treated=st.booleans(),
+        constant=st.booleans(),
+        params_kind=st.sampled_from(["fitted", "drawn", "identity"]),
+    )
+    @example(n=1, d=1, seed=0, treated=True, constant=False, params_kind="fitted")
+    @example(n=1, d=1, seed=1, treated=False, constant=True, params_kind="identity")
+    def test_equals_reference_bit_for_bit(self, n, d, seed, treated, constant, params_kind):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+        x[rng.random((n, d)) < 0.3] = -0.0
+        if constant:  # a zero-variance column
+            x[:, 0] = x[0, 0]
+        ds = SurvivalDataset(
+            covariates=x,
+            times=rng.uniform(0.1, 10.0, size=n),
+            events=rng.integers(0, 2, size=n),
+            treatments=rng.integers(0, 3, size=n) if treated else None,
+        )
+        params = {
+            "fitted": lambda: standardize_fit(ds),
+            "drawn": lambda: StandardizationParams(
+                rng.normal(size=d), rng.uniform(0.1, 10.0, size=d)
+            ),
+            "identity": lambda: identity_standardization(d),
+        }[params_kind]()
+
+        out = model_inputs(ds, params)
+        ref = reference_model_inputs(ds, params)
+        assert out.covariates.shape == ref.covariates.shape == (n, d + treated)
+        assert out.covariates.tobytes() == ref.covariates.tobytes()
+        assert out.feature_names == ref.feature_names
+        assert out.times.tobytes() == ref.times.tobytes()
+        assert out.events.tobytes() == ref.events.tobytes()
+        if treated:
+            assert out.treatments.tobytes() == ref.treatments.tobytes()
+        else:
+            assert out.treatments is ref.treatments is None
+        if params_kind == "identity":
+            assert out.covariates[:, :d].tobytes() == ds.covariates.tobytes()
+
+        outputs = [out.covariates, out.times, out.events]
+        sources = [ds.covariates, ds.times, ds.events, params.means, params.stddevs]
+        if treated:
+            outputs.append(out.treatments)
+            sources.append(ds.treatments)
+        assert not any(a.flags.writeable for a in outputs)
+        assert not any(np.shares_memory(a, b) for a in outputs for b in sources)
+
+    @pytest.mark.parametrize("treated", [False, True])
+    def test_width_mismatch_keeps_message(self, treated):
+        rng = np.random.default_rng(7)
+        ds = random_dataset(rng, n=10, d=2)
+        if treated:
+            ds = SurvivalDataset(
+                covariates=ds.covariates, times=ds.times, events=ds.events,
+                treatments=rng.integers(0, 2, size=10),
+            )
+        # params for the inputs (covariates plus label) do not fit the covariates
+        params = standardize_fit(random_dataset(rng, n=10, d=3))
+        with pytest.raises(ValueError, match="params fitted for 3 features, dataset has 2"):
+            model_inputs(ds, params)

@@ -226,13 +226,13 @@ class TestTrain:
     def test_sgd_small_net_learns_linear_risk(self):
         # 1 hidden layer of 4 SELU nodes trained by clipped Nesterov SGD at
         # desk scale reaches a validation C-index well above random
-        from coxkit.data import split_indices, standardize_apply, standardize_fit
+        from coxkit.data import model_inputs, split_indices, standardize_fit
 
         sim = generate(SimulationSpec(n=1500, d=10, risk_kind="linear", seed=31))
         idx = split_indices(1500, (2 / 3, 1 / 6, 1 / 6), seed=42)
         parts = [sim.dataset.subset(i) for i in idx]
         params = standardize_fit(parts[0])
-        tr, va, _ = [standardize_apply(p, params) for p in parts]
+        tr, va, _ = [model_inputs(p, params) for p in parts]
         net_cfg = NetworkConfig(1, 4, "selu", 0.1, 1.0)
         opt_cfg = OptimizerConfig(
             "sgd", 1e-3, 1e-3, momentum=0.9, clip_norm=5.0, epochs=800, seed=7

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxkit.coxlinear import LinearCoxModel, fit_cph
-from coxkit.data import SurvivalDataset, append_treatment_feature
+from coxkit.data import SurvivalDataset, model_inputs
 from coxkit.recommend import (
     evaluate_recommendations,
     group_risks,
@@ -13,17 +13,23 @@ from coxkit.recommend import (
 )
 from coxkit.riskmlp import NetworkConfig, init_network
 from coxkit.simulate import SimulationSpec, generate, risk_gaussian
-from helpers import reference_group_risks
+from helpers import identity_standardization, reference_group_risks
+
+
+def unscaled_inputs(ds):
+    """The model inputs of `ds` with its covariates unscaled."""
+    return model_inputs(ds, identity_standardization(ds.d))
 
 
 def treatment_sim(n=400, seed=60):
+    """The unscaled model inputs of a simulated treatment experiment."""
     sim = generate(
         SimulationSpec(
             n=n, d=10, risk_kind="gaussian", lambda_max=10.0, r=0.5,
             with_treatment=True, seed=seed,
         )
     )
-    return sim.dataset
+    return unscaled_inputs(sim.dataset)
 
 
 def linear_two_feature_model(beta_treatment=0.7):
@@ -31,16 +37,17 @@ def linear_two_feature_model(beta_treatment=0.7):
 
 
 def mixed_treatment_ds(labels=(0, 1, 0, 1)):
-    """A small dataset of every group in `labels`, with one covariate: the
-    first input of `linear_two_feature_model`, whose last is the treatment."""
+    """The model inputs of a small dataset of every group in `labels`, with
+    one covariate: the inputs of `linear_two_feature_model`, whose last is the
+    treatment."""
     treatments = np.array(labels)
     n = treatments.size
-    return SurvivalDataset(
+    return unscaled_inputs(SurvivalDataset(
         covariates=np.linspace(-1.0, 1.0, n)[:, None],
         times=np.arange(1.0, n + 1.0),
         events=np.ones(n, dtype=int),
         treatments=treatments,
-    )
+    ))
 
 
 def rec_values(model, x, i, j):
@@ -75,8 +82,8 @@ class TestGroupRisks:
     def test_equals_per_group_oracle_bit_for_bit(self, data):
         d = data.draw(st.integers(1, 5))
         seed = data.draw(st.integers(0, 2**16))
-        # x holds every model input but the treatment
-        shape = data.draw(st.sampled_from([(d - 1,), (1, d - 1), (7, d - 1)]))
+        # x holds every model input; its last, the treatment, is overwritten
+        shape = data.draw(st.sampled_from([(d,), (1, d), (7, d)]))
         x = np.random.default_rng(seed).normal(size=shape)
         groups = data.draw(
             st.lists(st.integers(0, 3), min_size=2, max_size=3, unique=True)
@@ -109,13 +116,13 @@ class TestPredict:
 class TestRecFn:
     def test_same_group_zero(self):
         net = init_network(NetworkConfig(hidden_layers=1, nodes_per_layer=4), d=3, seed=0)
-        x = np.array([0.1, 0.2])
+        x = np.array([0.1, 0.2, 0.0])
         assert rec_values(net, x, 1, 1) == 0.0
 
     def test_linear_model_constant(self):
         # beta[1] * (1 - 0) for every patient, up to the rounding of x @ beta
         model = linear_two_feature_model(0.7)
-        x = np.random.default_rng(61).normal(size=(10, 2))[:, :1]
+        x = np.random.default_rng(61).normal(size=(10, 2))
         values = rec_values(model, x, 1, 0)
         np.testing.assert_allclose(values, 0.7, rtol=0, atol=1e-15)
 
@@ -123,7 +130,7 @@ class TestRecFn:
         cfg = NetworkConfig(hidden_layers=2, nodes_per_layer=6, dropout_rate=0.4)
         net = init_network(cfg, d=4, seed=62)
         rng = np.random.default_rng(63)
-        x = rng.normal(size=(20, 4))[:, :3]
+        x = rng.normal(size=(20, 4))
         fwd = rec_values(net, x, 1, 0)
         rev = rec_values(net, x, 0, 1)
         assert np.array_equal(fwd, -rev)
@@ -131,12 +138,12 @@ class TestRecFn:
     def test_deterministic_despite_dropout_config(self):
         cfg = NetworkConfig(hidden_layers=1, nodes_per_layer=8, dropout_rate=0.5)
         net = init_network(cfg, d=3, seed=64)
-        x = np.array([0.3, -0.2])
+        x = np.array([0.3, -0.2, 0.0])
         assert rec_values(net, x, 1, 0) == rec_values(net, x, 1, 0)
 
     def test_output_bias_shift_invisible(self):
         net = init_network(NetworkConfig(hidden_layers=1, nodes_per_layer=5), d=3, seed=65)
-        x = np.random.default_rng(66).normal(size=(7, 3))[:, :2]
+        x = np.random.default_rng(66).normal(size=(7, 3))
         before = rec_values(net, x, 1, 0)
         net.biases[-1][0] += 3.25
         # the shared constant cancels in the difference, up to rounding
@@ -147,11 +154,11 @@ class TestRecFn:
         def true_model(X):
             return X[:, -1] * risk_gaussian(X[:, :-1], 10.0, 0.5)
 
-        origin = np.zeros(10)
+        origin = np.zeros(11)
         assert rec_values(true_model, origin, 1, 0)[0] == pytest.approx(
             np.log(10.0), abs=1e-12
         )
-        far = np.zeros(10)
+        far = np.zeros(11)
         far[0], far[1] = 1.0, 1.0
         assert abs(rec_values(true_model, far, 1, 0)[0]) < 0.05
 
@@ -193,7 +200,7 @@ class TestRecommendTreatment:
 class TestEvaluateRecommendations:
     def test_linear_model_constant_partition(self):
         ds = treatment_sim()
-        model = fit_cph(append_treatment_feature(ds))
+        model = fit_cph(ds)
         report = evaluate_recommendations(ds, model)
         # a linear model recommends the same group to everyone
         assert report.rec_values is not None
@@ -205,7 +212,7 @@ class TestEvaluateRecommendations:
     def test_network_report_structure(self):
         ds = treatment_sim()
         net = init_network(
-            NetworkConfig(hidden_layers=1, nodes_per_layer=8), d=ds.d + 1, seed=67
+            NetworkConfig(hidden_layers=1, nodes_per_layer=8), d=ds.d, seed=67
         )
         report = evaluate_recommendations(ds, net)
         n_rec = int(report.is_recommendation.sum())
@@ -235,15 +242,27 @@ class TestEvaluateRecommendations:
         # x0 mirrors the assigned label, and the model scores the forced
         # group against it, so every recommendation matches the assignment
         treatments = np.array([0, 1, 0, 1])
-        ds = SurvivalDataset(
+        ds = unscaled_inputs(SurvivalDataset(
             covariates=treatments.astype(float)[:, None],
             times=[1.0, 2.0, 3.0, 4.0],
             events=[1, 1, 1, 1],
             treatments=treatments,
-        )
+        ))
 
         def agreeable(X):
             return (X[:, 1] - X[:, 0]) ** 2
 
         with pytest.raises(ValueError, match="Anti-Recommendation subset is empty"):
             evaluate_recommendations(ds, agreeable)
+
+    @pytest.mark.parametrize("last", ["covariate", "shifted label"])
+    def test_last_input_must_be_the_treatment(self, last):
+        # covariates without the treatment input, or a label column that is
+        # not the label: overwriting that last column would replace a covariate
+        ds = mixed_treatment_ds()
+        x = ds.covariates[:, :1] if last == "covariate" else ds.covariates + 1.0
+        wrong = SurvivalDataset(
+            covariates=x, times=ds.times, events=ds.events, treatments=ds.treatments
+        )
+        with pytest.raises(ValueError, match="last input column is not the treatment"):
+            evaluate_recommendations(wrong, linear_two_feature_model())
