@@ -1,3 +1,6 @@
+import errno
+import os
+import re
 import tracemalloc
 from unittest import mock
 
@@ -22,11 +25,13 @@ from coxkit.data import (
     write_columns,
     write_csv,
 )
+from coxkit.metrics import kaplan_meier, write_km_csv
 from helpers import (
     identity_standardization,
     random_dataset,
     reference_model_inputs,
     reference_write_csv,
+    reference_write_km_csv,
 )
 
 
@@ -196,6 +201,158 @@ class TestWriteCsvMatchesRowWriter:
     def test_write_columns_header_only(self, tmp_path):
         write_columns(tmp_path / "x.csv", ["a", "b"], [[], []], comment="c")
         assert (tmp_path / "x.csv").read_bytes() == b"# c\na,b\r\n"
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids `os.fork` returned to `write_columns` in this test."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(data.os, "fork", counted)
+    return pids
+
+
+@pytest.fixture
+def cpus(monkeypatch, forks):
+    """Sets the CPUs `write_columns` sees, with one cell enough for a part."""
+    monkeypatch.setattr(data, "_PART_CELLS", 1)
+
+    def set_cpus(k):
+        monkeypatch.setattr(data.os, "sched_getaffinity", lambda pid: set(range(k)),
+                            raising=False)
+
+    return set_cpus
+
+
+def _mixed_columns(n):
+    """Float columns holding -0.0, subnormals, 1e300 and ordinary values, an
+    int column and a bool column, of `n` rows each."""
+    rng = np.random.default_rng(n)
+    floats = rng.normal(size=(2, n)) * 10.0 ** rng.integers(-300, 300, size=(2, n))
+    floats.flat[: 4 * min(n, 2)] = [-0.0, 5e-324, 1e300, -2.5e-310] * min(n, 2)
+    return [*floats, rng.integers(-(2**62), 2**62, size=n), rng.random(n) < 0.5]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWriteColumnsInParts:
+    """A table written by forked processes, one part each, is the table the
+    serial loop writes, and leaves no process or file behind."""
+
+    @pytest.mark.parametrize("comment", [None, '{"seed":1}'])
+    @pytest.mark.parametrize("n", [0, 1, 3, 4500])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_same_bytes_as_serial(self, tmp_path, cpus, forks, k, n, comment):
+        header = ["f", "g", "i", "b"]
+        cpus(1)
+        write_columns(tmp_path / "serial.csv", header, _mixed_columns(n), comment)
+        assert not forks
+        cpus(k)
+        write_columns(tmp_path / "parts.csv", header, _mixed_columns(n), comment)
+        assert len(forks) == max(0, min(k, n) - 1)
+        serial = (tmp_path / "serial.csv").read_bytes()
+        assert (tmp_path / "parts.csv").read_bytes() == serial
+        assert serial.count(b"\r\n") == n + 1
+        _assert_no_child_left()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["parts.csv", "serial.csv"]
+
+    @pytest.mark.parametrize("comment", [None, '{"seed":1}'])
+    @pytest.mark.parametrize("n", [1, 3, 4500])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_dataset_matches_reference_and_round_trips(self, tmp_path, cpus, k, n, comment):
+        ds = _extreme_dataset(n, 3, with_treatments=True)
+        cpus(k)
+        write_csv(ds, tmp_path / "new.csv", comment=comment)
+        reference_write_csv(ds, tmp_path / "old.csv", comment=comment)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        back = load_csv(tmp_path / "new.csv")
+        for name in ("covariates", "times", "events", "treatments"):
+            assert getattr(back, name).tobytes() == getattr(ds, name).tobytes(), name
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_km_csv_matches_reference(self, tmp_path, cpus, forks, k):
+        km = kaplan_meier(np.arange(9000) % 6000 + 0.5, (np.arange(9000) % 5 != 0).astype(int))
+        cpus(k)
+        write_km_csv(km, tmp_path / "new.csv", comment="prov")
+        assert len(forks) == k - 1
+        reference_write_km_csv(km, tmp_path / "old.csv", comment="prov")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        _assert_no_child_left()
+
+    def test_parts_hold_a_row_each(self, monkeypatch):
+        monkeypatch.setattr(data, "_PART_CELLS", 1)
+        monkeypatch.setattr(data.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        assert data._part_bounds(0, 5) == [0, 0]
+        assert data._part_bounds(3, 5) == [0, 1, 2, 3]
+        assert data._part_bounds(10, 1) == [0, 2, 5, 7, 10]
+
+    def test_small_table_never_forks(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(data.os, "sched_getaffinity", lambda pid: set(range(4)),
+                            raising=False)
+        # 49,998 cells: one short of a second part
+        ds = _extreme_dataset(16_666, 1, with_treatments=True)
+        write_csv(ds, tmp_path / "x.csv")
+        monkeypatch.setattr(data, "_PART_CELLS", 1)
+        write_csv(ds.subset([0]), tmp_path / "one_row.csv")
+        assert not forks
+
+    def test_no_affinity_mask_never_forks(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(data, "_PART_CELLS", 1)
+        monkeypatch.delattr(data.os, "sched_getaffinity", raising=False)
+        write_csv(_extreme_dataset(100, 3, with_treatments=False), tmp_path / "x.csv")
+        assert not forks
+
+    @pytest.mark.parametrize(
+        "error, reason",
+        [
+            (OSError(errno.ENOSPC, "No space left on device"), "No space left on device"),
+            (ValueError("bad cell"), "exit status 255"),
+        ],
+    )
+    def test_failed_child_names_the_path(self, tmp_path, cpus, monkeypatch, error, reason):
+        parent, write_rows = os.getpid(), data._write_rows
+
+        def fail_in_child(fh, cells, start, stop):
+            if os.getpid() != parent:
+                raise error
+            write_rows(fh, cells, start, stop)
+
+        monkeypatch.setattr(data, "_write_rows", fail_in_child)
+        cpus(3)
+        path = tmp_path / "out.csv"
+        message = f"{path}: the process writing rows 1-1 failed: {reason}"
+        with pytest.raises(OSError, match=re.escape(message)):
+            write_columns(path, ["a"], [[1.0, 2.0, 3.0]])
+        _assert_no_child_left()
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_failed_parent_reaps_children(self, tmp_path, cpus, monkeypatch, forks):
+        parent, write_rows = os.getpid(), data._write_rows
+
+        def fail_in_parent(fh, cells, start, stop):
+            if os.getpid() == parent:
+                raise RuntimeError("parent failed")
+            write_rows(fh, cells, start, stop)
+
+        monkeypatch.setattr(data, "_write_rows", fail_in_parent)
+        cpus(4)
+        with pytest.raises(RuntimeError, match="parent failed"):
+            write_columns(tmp_path / "out.csv", ["a"], [np.arange(100.0)])
+        assert len(forks) == 3
+        _assert_no_child_left()
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
@@ -462,6 +619,38 @@ class TestDatasetValidation:
                 events=events,
                 treatments=treatments,
             )
+
+
+class TestDatasetArrays:
+    def test_caller_arrays_stay_writeable_and_unshared(self):
+        cov, t = np.ones((3, 2)), np.array([1.0, 2.0, 3.0])
+        ds = SurvivalDataset(cov, t, [1, 0, 1])
+        t[0] = 5.0
+        cov[:, 1] = 7.0
+        assert ds.times.tolist() == [1.0, 2.0, 3.0]
+        assert ds.covariates.tolist() == [[1.0, 1.0]] * 3
+        for caller, own in [(cov, ds.covariates), (t, ds.times)]:
+            assert caller.flags.writeable and not own.flags.writeable
+            assert not np.shares_memory(caller, own)
+
+    def test_caller_views_are_copied(self):
+        table = np.arange(1.0, 10.0).reshape(3, 3)
+        ds = SurvivalDataset(table[:, 1:], table[:, 0], [1, 0, 1])
+        assert not np.shares_memory(ds.covariates, table)
+        assert not np.shares_memory(ds.times, table)
+        assert table.flags.writeable
+
+    def test_read_only_arrays_are_kept(self):
+        cov, t = np.ones((3, 2)), np.array([1.0, 2.0, 3.0])
+        cov.setflags(write=False)
+        t.setflags(write=False)
+        ds = SurvivalDataset(cov, t, [1, 0, 1])
+        assert ds.covariates is cov and ds.times is t
+
+    def test_converted_inputs_are_read_only(self):
+        ds = SurvivalDataset([[1], [2]], np.array([1, 2]), [1, 0])
+        assert ds.covariates.dtype == ds.times.dtype == float
+        assert not ds.covariates.flags.writeable and not ds.times.flags.writeable
 
 
 @st.composite
