@@ -1,9 +1,10 @@
 """Linear Cox proportional-hazards regression.
 
 The log partial likelihood is maximized by Newton-Raphson with analytic
-gradient and Hessian, step halving, and a divergence cap for monotone
-likelihoods (perfect separation). Tied event times share one risk-set
-denominator (Breslow); the risk-set sums come from `coxkit.riskset`.
+gradient and Hessian and step halving. A cap on the coefficients and one on
+the span of the linear predictor flag monotone likelihoods (perfect
+separation). Tied event times share one risk-set denominator (Breslow); the
+risk-set sums come from `coxkit.riskset`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from coxkit.data import SurvivalDataset, sort_view
+from coxkit.data import SurvivalDataset, _freeze, sort_view
 from coxkit.riskset import breslow
 
 DIVERGENCE_CAP = 50.0
@@ -25,6 +26,11 @@ STEP_TOL = 1e-9
 # like exp(-|beta|); past this magnitude a vanished gradient means a monotone
 # likelihood rather than a singular design.
 _MONOTONE_BETA = 10.0
+
+# A linear predictor spanning more than log(1 / tiny) ~ 708 gives hazard
+# ratios past the float range; a fit ends there only on a monotone
+# likelihood, approaching its supremum. Well-posed fits span about 1-7.
+_MONOTONE_SPAN = -np.log(np.finfo(float).tiny)
 
 # A log-likelihood drop of at most this many ulps of |ll| is rounding noise;
 # measured drops at convergence are 1-3 ulps.
@@ -46,7 +52,7 @@ class LinearCoxModel:
     diverged: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
+        _freeze(self, beta=np.array(self.beta, dtype=float))
         if self.beta.ndim != 1:
             raise ValueError(f"beta must be a 1-d array, got shape {self.beta.shape}")
         if not np.all(np.isfinite(self.beta)):
@@ -71,7 +77,10 @@ def fit_cph(ds: SurvivalDataset) -> LinearCoxModel:
     `STEP_TOL`, or after `MAX_ITER` steps.
     Coefficients escaping past a magnitude cap signal a monotone likelihood
     (perfect separation): the fit returns with `diverged` set instead of
-    looping to the iteration limit.
+    looping to the iteration limit. So does a linear predictor spanning
+    more than `_MONOTONE_SPAN`, which the cap misses on covariates of a wide
+    range: there the steps would shrink below `STEP_TOL` on a likelihood
+    flat at its supremum, and the fit would read as converged.
     """
     if ds.n_events == 0:
         raise ValueError("no observed events")
@@ -109,7 +118,7 @@ def fit_cph(ds: SurvivalDataset) -> LinearCoxModel:
             converged = True
             break
         beta, ll, grad, hess = candidate, ll_new, grad_new, hess_new
-        if np.max(np.abs(beta)) > DIVERGENCE_CAP:
+        if np.max(np.abs(beta)) > DIVERGENCE_CAP or np.ptp(xs @ beta) > _MONOTONE_SPAN:
             diverged = True
             break
         if np.max(np.abs(step)) < STEP_TOL:

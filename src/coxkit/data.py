@@ -5,6 +5,12 @@ A dataset couples an n x d covariate matrix with an observed time, an event
 indicator (1 = event observed, 0 = right-censored), and optionally a
 treatment-group label per patient. Datasets are immutable after construction;
 every operation here returns a new object.
+
+Every frozen record (`SurvivalDataset`, `SortedSurvivalView`,
+`StandardizationParams`, and `coxlinear.LinearCoxModel`) copies the arrays
+it is given and makes the copies read-only, so what it validated cannot
+change through the caller's arrays. Only `SurvivalDataset.subset` skips the
+copy: its fancy-indexed arrays are already its own.
 """
 
 from __future__ import annotations
@@ -39,13 +45,12 @@ class SurvivalDataset:
     feature_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        cov = np.atleast_2d(_read_only(self.covariates))
-        times = _read_only(self.times)
+        cov = np.atleast_2d(np.array(self.covariates, dtype=float))
+        times = np.array(self.times, dtype=float)
         # events and labels are checked as read, by the CSV reader's rules,
         # before the int64 cast could truncate them
         events = np.asarray(self.events)
-        object.__setattr__(self, "covariates", cov)
-        object.__setattr__(self, "times", times)
+        treat = None if self.treatments is None else np.asarray(self.treatments)
         if cov.ndim != 2 or cov.shape[0] < 1 or cov.shape[1] < 1:
             raise ValueError("covariates must be a non-empty n x d matrix")
         n, d = cov.shape
@@ -57,14 +62,19 @@ class SurvivalDataset:
             raise ValueError("times must be strictly positive and finite")
         if np.any(_RULES["event"][0](events)):
             raise ValueError("events must contain only 0 or 1")
-        object.__setattr__(self, "events", events.astype(np.int64))
-        if self.treatments is not None:
-            treat = np.asarray(self.treatments)
+        if treat is not None:
             if treat.shape != (n,):
                 raise ValueError("treatments length must match covariate rows")
             if np.any(_RULES["treatment"][0](treat)):
                 raise ValueError("treatment labels must be non-negative integers")
-            object.__setattr__(self, "treatments", treat.astype(np.int64))
+            treat = treat.astype(np.int64)
+        _freeze(
+            self,
+            covariates=cov,
+            times=times,
+            events=events.astype(np.int64),
+            treatments=treat,
+        )
         if not self.feature_names:
             object.__setattr__(
                 self, "feature_names", tuple(f"x{i}" for i in range(d))
@@ -73,9 +83,6 @@ class SurvivalDataset:
             raise ValueError("feature_names length must equal covariate columns")
         else:
             object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        self.events.setflags(write=False)
-        if self.treatments is not None:
-            self.treatments.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -101,27 +108,24 @@ class SurvivalDataset:
         if covariates.ndim != 2 or covariates.shape[0] < 1:
             raise ValueError("covariates must be a non-empty n x d matrix")
         part = object.__new__(SurvivalDataset)
-        for name, array in [
-            ("covariates", covariates),
-            ("times", self.times[index]),
-            ("events", self.events[index]),
-            ("treatments", None if self.treatments is None else self.treatments[index]),
-        ]:
-            if array is not None:
-                array.setflags(write=False)
-            object.__setattr__(part, name, array)
+        _freeze(
+            part,
+            covariates=covariates,
+            times=self.times[index],
+            events=self.events[index],
+            treatments=None if self.treatments is None else self.treatments[index],
+        )
         object.__setattr__(part, "feature_names", self.feature_names)
         return part
 
 
-def _read_only(values) -> np.ndarray:
-    """`values` as a read-only float array. An array the caller could still
-    write through is copied; a read-only one, or one converted here, is not."""
-    array = np.asarray(values, dtype=float)
-    if array.flags.writeable and (array is values or array.base is not None):
-        array = array.copy()
-    array.setflags(write=False)
-    return array
+def _freeze(record, **arrays) -> None:
+    """Set the array fields of a frozen record, read-only. The record owns
+    them: its constructor passes copies, `subset` fancy-indexed arrays."""
+    for name, array in arrays.items():
+        if array is not None:
+            array.setflags(write=False)
+        object.__setattr__(record, name, array)
 
 
 @dataclass(frozen=True)
@@ -135,8 +139,11 @@ class StandardizationParams:
     stddevs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "means", np.asarray(self.means, dtype=float))
-        object.__setattr__(self, "stddevs", np.asarray(self.stddevs, dtype=float))
+        _freeze(
+            self,
+            means=np.array(self.means, dtype=float),
+            stddevs=np.array(self.stddevs, dtype=float),
+        )
         if self.means.ndim != 1 or self.means.shape != self.stddevs.shape:
             raise ValueError("means and stddevs must be 1-d arrays of equal length")
         if not (np.all(np.isfinite(self.means)) and np.all(np.isfinite(self.stddevs))):
@@ -159,14 +166,11 @@ class SortedSurvivalView:
     tie_groups: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "permutation", np.asarray(self.permutation, dtype=np.int64)
+        _freeze(
+            self,
+            permutation=np.array(self.permutation, dtype=np.int64),
+            tie_groups=np.array(self.tie_groups, dtype=np.int64),
         )
-        object.__setattr__(
-            self, "tie_groups", np.asarray(self.tie_groups, dtype=np.int64)
-        )
-        self.permutation.setflags(write=False)
-        self.tie_groups.setflags(write=False)
 
 
 def sort_view(ds: SurvivalDataset) -> SortedSurvivalView:
@@ -364,13 +368,9 @@ def load_csv(
         first_feature = len(columns)
         columns += [(name, "value") for name in feature_names]
         table, _ = _parse_body(path, header, lines, columns, whole_rows=True)
-    # contiguous copies, handed over read-only so the constructor keeps them
-    covariates, times = table[:, first_feature:].copy(), table[:, 0].copy()
-    covariates.setflags(write=False)
-    times.setflags(write=False)
     return SurvivalDataset(
-        covariates=covariates,
-        times=times,
+        covariates=table[:, first_feature:],
+        times=table[:, 0],
         events=table[:, 1],
         treatments=table[:, 2] if has_treatment else None,
         feature_names=tuple(feature_names),
@@ -557,10 +557,8 @@ def model_inputs(ds: SurvivalDataset, params: StandardizationParams) -> Survival
     """The inputs a risk model takes: the covariates centered and scaled by
     `params`, then the treatment label, when `ds` has one, as the last input.
 
-    The label is never rescaled. The result shares no memory with `ds`: its
-    times are copied here, and the constructor's int64 casts copy its events
-    and treatments. The inputs and times are handed over read-only, so the
-    constructor keeps them without a second copy.
+    The label is never rescaled. Like every dataset, the result owns copies
+    of its arrays, so it shares no memory with `ds`.
     """
     if params.means.shape[0] != ds.d:
         raise ValueError(
@@ -574,12 +572,9 @@ def model_inputs(ds: SurvivalDataset, params: StandardizationParams) -> Survival
     if ds.treatments is not None:
         inputs[:, -1] = ds.treatments
         names += ("treatment",)
-    times = ds.times.copy()
-    inputs.setflags(write=False)
-    times.setflags(write=False)
     return SurvivalDataset(
         covariates=inputs,
-        times=times,
+        times=ds.times,
         events=ds.events,
         treatments=ds.treatments,
         feature_names=names,

@@ -24,12 +24,14 @@ def breslow(risks, events, tie_groups, x=None, weights=True):
     Exp-risks are shifted by the largest risk. The denominators that shift
     underflows, or that would overflow deaths / denominator, grow along the
     order, so they are a leading run of groups: only it is redone in log space.
+    Dividing by the run's denominators may overflow or divide by zero; the log
+    space values replace those results, so those warnings are silenced.
     """
     starts, stops = tie_groups[:, 0], tie_groups[:, 1]
     sizes = stops - starts
     deaths = np.add.reduceat(events, starts).astype(float)
     at_risk = means = None
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         shift = risks.max()
         w = np.exp(risks - shift)
         denoms = np.cumsum(w)[stops - 1]

@@ -115,9 +115,6 @@ def generate(spec: SimulationSpec) -> SimulatedDataset:
     times = np.minimum(raw, t0)
     events = (raw <= t0).astype(np.int64)
 
-    # read-only, so the constructor keeps them without a copy
-    x.setflags(write=False)
-    times.setflags(write=False)
     ds = SurvivalDataset(
         covariates=x,
         times=times,

@@ -14,7 +14,7 @@ from coxkit.coxlinear import (
     from_dict,
     to_dict,
 )
-from coxkit.data import SurvivalDataset, sort_view
+from coxkit.data import SurvivalDataset, model_inputs, sort_view, standardize_fit
 from coxkit.metrics import concordance_index
 from coxkit.recommend import group_risks, predict
 from coxkit.simulate import SimulationSpec, generate
@@ -207,6 +207,36 @@ class TestFit:
         assert model.diverged
         assert not model.converged
 
+    @staticmethod
+    def _ordered(x0, noise_columns=0, standardized=False, seed=0):
+        """Every patient an event, and times ordered by `x0`: no finite beta
+        maximizes the likelihood."""
+        n = len(x0)
+        noise = np.random.default_rng(seed).normal(size=(n, noise_columns))
+        ds = SurvivalDataset(
+            covariates=np.column_stack([x0, noise]),
+            times=np.arange(1.0, n + 1.0),
+            events=np.ones(n, dtype=int),
+        )
+        return model_inputs(ds, standardize_fit(ds)) if standardized else ds
+
+    def test_monotone_likelihood_flags_divergence(self):
+        # On the raw covariate, n=50 and n=200 once ended with steps below
+        # STEP_TOL and converged=True (beta 27.8 and 23.1, linear predictor
+        # spans 1364 and 4597); n=10 and standardized inputs hit the cap.
+        for n in (10, 50, 200):
+            for standardized in (False, True):
+                ds = self._ordered(np.arange(n - 1.0, -1.0, -1.0), standardized=standardized)
+                model = fit_cph(ds)
+                assert model.diverged and not model.converged, (n, standardized)
+                assert model.iterations <= 40  # n=50 and n=200 took 72 and 71
+
+    def test_separating_covariate_among_noise_flags_divergence(self):
+        for standardized in (False, True):
+            ds = self._ordered(np.arange(99.0, -1.0, -1.0), 3, standardized, seed=4)
+            model = fit_cph(ds)
+            assert model.diverged and not model.converged, standardized
+
     def test_shift_invariance_of_ordering(self):
         rng = np.random.default_rng(23)
         ds = random_dataset(rng, n=150, d=3)
@@ -287,6 +317,15 @@ class TestPredictAndRecommender:
         x = np.random.default_rng(15).normal(size=(6, 2))
         risks = group_risks(model, x, [1, 0])
         np.testing.assert_allclose(risks[:, 0] - risks[:, 1], 0.7, rtol=0, atol=1e-15)
+
+
+class TestModelArrays:
+    def test_caller_beta_is_copied(self):
+        beta = np.array([0.3, -1.2])
+        model = LinearCoxModel(beta, True, 7, -52.5)
+        beta[0] = np.nan
+        assert model.beta.tolist() == [0.3, -1.2]
+        assert not model.beta.flags.writeable
 
 
 class TestSerialization:

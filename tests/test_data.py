@@ -13,6 +13,7 @@ from coxkit import data
 from coxkit.data import (
     CsvParseError,
     SchemaError,
+    SortedSurvivalView,
     StandardizationParams,
     SurvivalDataset,
     load_csv,
@@ -640,12 +641,23 @@ class TestDatasetArrays:
         assert not np.shares_memory(ds.times, table)
         assert table.flags.writeable
 
-    def test_read_only_arrays_are_kept(self):
+    def test_read_only_arrays_and_views_are_copied(self):
         cov, t = np.ones((3, 2)), np.array([1.0, 2.0, 3.0])
         cov.setflags(write=False)
         t.setflags(write=False)
         ds = SurvivalDataset(cov, t, [1, 0, 1])
-        assert ds.covariates is cov and ds.times is t
+        assert not np.shares_memory(ds.covariates, cov)
+        assert not np.shares_memory(ds.times, t)
+        # a read-only view does not make its base read-only
+        table = np.arange(1.0, 10.0).reshape(3, 3)
+        cov, t = table[:, 1:], table[:, 0]
+        cov.setflags(write=False)
+        t.setflags(write=False)
+        ds = SurvivalDataset(cov, t, [1, 0, 1])
+        table[0, 0] = -5.0
+        table[1, 1] = np.nan
+        assert ds.times.tolist() == [1.0, 4.0, 7.0]
+        assert ds.covariates.tolist() == [[2.0, 3.0], [5.0, 6.0], [8.0, 9.0]]
 
     def test_converted_inputs_are_read_only(self):
         ds = SurvivalDataset([[1], [2]], np.array([1, 2]), [1, 0])
@@ -816,6 +828,15 @@ class TestStandardize:
         with pytest.raises(ValueError, match="1-d arrays of equal length"):
             data.StandardizationParams(means, stddevs)
 
+    def test_caller_arrays_are_copied(self):
+        means, stddevs = np.zeros(2), np.array([1.0, 2.0])
+        params = StandardizationParams(means, stddevs)
+        means[0] = np.nan
+        stddevs[1] = -3.0  # would flip the feature's sign
+        assert params.means.tolist() == [0.0, 0.0]
+        assert params.stddevs.tolist() == [1.0, 2.0]
+        assert not params.means.flags.writeable and not params.stddevs.flags.writeable
+
 
 class TestSortView:
     def test_descending_permutation(self):
@@ -851,6 +872,15 @@ class TestSortView:
             assert np.array_equal(view.tie_groups[1:, 0], view.tie_groups[:-1, 1])
             for start, stop in view.tie_groups:
                 assert np.all(sorted_times[start:stop] == sorted_times[start])
+
+    def test_caller_arrays_stay_writeable_and_unshared(self):
+        perm, groups = np.array([1, 0, 2]), np.array([[0, 2], [2, 3]])
+        view = SortedSurvivalView(perm, groups)
+        perm[0] = 2
+        groups[0, 1] = 1
+        assert view.permutation.tolist() == [1, 0, 2]
+        assert view.tie_groups.tolist() == [[0, 2], [2, 3]]
+        assert not view.permutation.flags.writeable and not view.tie_groups.flags.writeable
 
 
 class TestTreatmentFeature:
