@@ -402,12 +402,17 @@ _PART_CELLS = 50_000
 _SENDFILE_BYTES = 1 << 30
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: the size of its affinity mask
+    (`os.sched_getaffinity`, so `taskset` limits it), or 1 on a system
+    without one. Every forking site sizes its work by this count."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def _part_bounds(n_rows: int, n_columns: int) -> list[int]:
     """Row bounds of the parts `write_columns` writes a table in: at most one
-    part per CPU in the affinity mask, per `_PART_CELLS` cells and per row,
-    and one part where the system has no affinity mask."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    parts = max(1, min(cpus, n_rows, n_rows * n_columns // _PART_CELLS))
+    part per usable CPU, per `_PART_CELLS` cells and per row."""
+    parts = max(1, min(usable_cpus(), n_rows, n_rows * n_columns // _PART_CELLS))
     return [n_rows * k // parts for k in range(parts + 1)]
 
 

@@ -2,6 +2,7 @@ import os
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -14,6 +15,22 @@ if os.environ.get("CI"):
     settings.load_profile("ci")
 
 ACCEPTANCE_LINES: list[str] = []
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids `os.fork` returned to this test's process."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
 
 
 def pytest_terminal_summary(terminalreporter):

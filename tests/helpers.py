@@ -7,8 +7,10 @@ closed forms) so they stay independent of the library code they check.
 from __future__ import annotations
 
 import csv
+import os
 
 import numpy as np
+import pytest
 
 from coxkit.coxlinear import LinearCoxModel
 from coxkit.data import StandardizationParams, SurvivalDataset, sort_view
@@ -581,3 +583,9 @@ def reference_write_history(history, path, comment):
         for epoch, loss in enumerate(history.train_loss)
     ]
     _write_rows(path, header, rows, comment)
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

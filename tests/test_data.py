@@ -28,6 +28,7 @@ from coxkit.data import (
 )
 from coxkit.metrics import kaplan_meier, write_km_csv
 from helpers import (
+    assert_no_child_left,
     identity_standardization,
     random_dataset,
     reference_model_inputs,
@@ -205,22 +206,6 @@ class TestWriteCsvMatchesRowWriter:
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """The pids `os.fork` returned to `write_columns` in this test."""
-    pids = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(data.os, "fork", counted)
-    return pids
-
-
-@pytest.fixture
 def cpus(monkeypatch, forks):
     """Sets the CPUs `write_columns` sees, with one cell enough for a part."""
     monkeypatch.setattr(data, "_PART_CELLS", 1)
@@ -241,11 +226,6 @@ def _mixed_columns(n):
     return [*floats, rng.integers(-(2**62), 2**62, size=n), rng.random(n) < 0.5]
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestWriteColumnsInParts:
     """A table written by forked processes, one part each, is the table the
     serial loop writes, and leaves no process or file behind."""
@@ -264,7 +244,7 @@ class TestWriteColumnsInParts:
         serial = (tmp_path / "serial.csv").read_bytes()
         assert (tmp_path / "parts.csv").read_bytes() == serial
         assert serial.count(b"\r\n") == n + 1
-        _assert_no_child_left()
+        assert_no_child_left()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["parts.csv", "serial.csv"]
 
     @pytest.mark.parametrize("comment", [None, '{"seed":1}'])
@@ -279,7 +259,7 @@ class TestWriteColumnsInParts:
         back = load_csv(tmp_path / "new.csv")
         for name in ("covariates", "times", "events", "treatments"):
             assert getattr(back, name).tobytes() == getattr(ds, name).tobytes(), name
-        _assert_no_child_left()
+        assert_no_child_left()
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_km_csv_matches_reference(self, tmp_path, cpus, forks, k):
@@ -289,7 +269,7 @@ class TestWriteColumnsInParts:
         assert len(forks) == k - 1
         reference_write_km_csv(km, tmp_path / "old.csv", comment="prov")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-        _assert_no_child_left()
+        assert_no_child_left()
 
     def test_parts_hold_a_row_each(self, monkeypatch):
         monkeypatch.setattr(data, "_PART_CELLS", 1)
@@ -308,6 +288,13 @@ class TestWriteColumnsInParts:
         monkeypatch.setattr(data, "_PART_CELLS", 1)
         write_csv(ds.subset([0]), tmp_path / "one_row.csv")
         assert not forks
+
+    def test_usable_cpus_is_the_affinity_mask_or_one(self, monkeypatch):
+        monkeypatch.setattr(data.os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+        assert data.usable_cpus() == 3
+        monkeypatch.delattr(data.os, "sched_getaffinity", raising=False)
+        assert data.usable_cpus() == 1
 
     def test_no_affinity_mask_never_forks(self, tmp_path, monkeypatch, forks):
         monkeypatch.setattr(data, "_PART_CELLS", 1)
@@ -336,7 +323,7 @@ class TestWriteColumnsInParts:
         message = f"{path}: the process writing rows 1-1 failed: {reason}"
         with pytest.raises(OSError, match=re.escape(message)):
             write_columns(path, ["a"], [[1.0, 2.0, 3.0]])
-        _assert_no_child_left()
+        assert_no_child_left()
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
     def test_failed_parent_reaps_children(self, tmp_path, cpus, monkeypatch, forks):
@@ -352,7 +339,7 @@ class TestWriteColumnsInParts:
         with pytest.raises(RuntimeError, match="parent failed"):
             write_columns(tmp_path / "out.csv", ["a"], [np.arange(100.0)])
         assert len(forks) == 3
-        _assert_no_child_left()
+        assert_no_child_left()
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 

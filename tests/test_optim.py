@@ -2,15 +2,17 @@ import itertools
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coxkit import optim
+from coxkit import optim, riskmlp
 from coxkit.data import SurvivalDataset
 from coxkit.optim import (
     OptimizerConfig,
@@ -27,7 +29,12 @@ from coxkit.optim import (
 )
 from coxkit.riskmlp import NetworkConfig, forward, from_dict, to_dict
 from coxkit.simulate import SimulationSpec, generate
-from helpers import random_dataset, reference_random_search, reference_train
+from helpers import (
+    assert_no_child_left,
+    random_dataset,
+    reference_random_search,
+    reference_train,
+)
 
 
 class TestLrSchedule:
@@ -98,6 +105,32 @@ class TestOptimizers:
         assert params[0] < 0 < params[1]
 
 
+def assert_same_floats_as_reference(kind, batch_size, clip_norm) -> int:
+    """Train twelve networks by `train` and by `helpers.reference_train`, and
+    compare every float; returns how many trainings there were."""
+    rng = np.random.default_rng(41)
+    # heavy censoring leaves some batches of 8 without an event
+    ds = random_dataset(rng, n=100, d=4, censor_fraction=0.6)
+    val = random_dataset(rng, n=30, d=4)
+    configs = list(itertools.product([0.0, 0.4], [1, 2, 3], ["relu", "selu"]))
+    for dropout, layers, activation in configs:
+        net_cfg = NetworkConfig(layers, 5, activation, dropout, l2_coefficient=0.5)
+        opt_cfg = OptimizerConfig(
+            kind, 1e-3, 0.1, clip_norm=clip_norm, epochs=3,
+            batch_size=batch_size, seed=layers,
+        )
+        got_net, got = train(ds, net_cfg, opt_cfg, val)
+        want_net, want = reference_train(ds, net_cfg, opt_cfg, val)
+        for a, b in zip(
+            got_net.weights + got_net.biases, want_net.weights + want_net.biases
+        ):
+            assert np.array_equal(a, b)
+        assert got.train_loss == want.train_loss
+        assert got.val_cindex == want.val_cindex
+        assert got.learning_rates == want.learning_rates
+    return len(configs)
+
+
 class TestTrainMatchesReference:
     """`train` steps all parameters as one flat vector and builds batches
     with `subset`; `helpers.reference_train` steps each array on its own and
@@ -107,27 +140,7 @@ class TestTrainMatchesReference:
     @pytest.mark.parametrize("batch_size", [None, 8, 64])
     @pytest.mark.parametrize("clip_norm", [None, 1e-3])
     def test_same_floats(self, kind, batch_size, clip_norm):
-        rng = np.random.default_rng(41)
-        # heavy censoring leaves some batches of 8 without an event
-        ds = random_dataset(rng, n=100, d=4, censor_fraction=0.6)
-        val = random_dataset(rng, n=30, d=4)
-        for dropout, layers, activation in itertools.product(
-            [0.0, 0.4], [1, 2, 3], ["relu", "selu"]
-        ):
-            net_cfg = NetworkConfig(layers, 5, activation, dropout, l2_coefficient=0.5)
-            opt_cfg = OptimizerConfig(
-                kind, 1e-3, 0.1, clip_norm=clip_norm, epochs=3,
-                batch_size=batch_size, seed=layers,
-            )
-            got_net, got = train(ds, net_cfg, opt_cfg, val)
-            want_net, want = reference_train(ds, net_cfg, opt_cfg, val)
-            for a, b in zip(
-                got_net.weights + got_net.biases, want_net.weights + want_net.biases
-            ):
-                assert np.array_equal(a, b)
-            assert got.train_loss == want.train_loss
-            assert got.val_cindex == want.val_cindex
-            assert got.learning_rates == want.learning_rates
+        assert_same_floats_as_reference(kind, batch_size, clip_norm)
 
     def test_returned_network_round_trips_and_copies_apart(self):
         ds = random_dataset(np.random.default_rng(42), n=40)
@@ -239,6 +252,163 @@ class TestTrain:
         )
         _, history = train(tr, net_cfg, opt_cfg, va)
         assert history.val_cindex[-1] > 0.70
+
+
+@pytest.fixture
+def worker_cpus(monkeypatch):
+    """Sets the CPUs `train` sees, with one validation row x epoch enough
+    for a validation worker."""
+    monkeypatch.setattr(optim, "_WORKER_ROW_EPOCHS", 1)
+
+    def set_cpus(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)),
+                            raising=False)
+
+    return set_cpus
+
+
+def _failure(train_args, cpus, set_cpus):
+    """`type: message` of the error `train(*train_args)` raises on `cpus`
+    CPUs; no process may be left behind."""
+    set_cpus(cpus)
+    with pytest.raises(BaseException) as info:
+        train(*train_args)
+    assert_no_child_left()
+    return f"{info.type.__name__}: {info.value}"
+
+
+class TestValidationWorker:
+    """On two or more CPUs and from `_WORKER_ROW_EPOCHS` validation rows x
+    epochs, a forked worker validates each epoch; it gives the serial loop's
+    floats and errors, and no process outlives `train`."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("batch_size", [None, 8, 64])
+    @pytest.mark.parametrize("clip_norm", [None, 1e-3])
+    def test_same_floats(self, worker_cpus, forks, cpus, kind, batch_size, clip_norm):
+        worker_cpus(cpus)
+        trainings = assert_same_floats_as_reference(kind, batch_size, clip_norm)
+        assert len(forks) == (trainings if cpus > 1 else 0)
+        assert_no_child_left()
+
+    def test_forks_only_from_the_constant_on_two_cpus(self, monkeypatch, forks):
+        ds, val = TestTrain.linear_toy(40), TestTrain.linear_toy(20, seed=7)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(optim, "_WORKER_ROW_EPOCHS", 100)
+        train(ds, NetworkConfig(), OptimizerConfig(epochs=4), val)  # 80 row-epochs
+        train(ds, NetworkConfig(), OptimizerConfig(epochs=5))  # no validation set
+        assert not forks
+        train(ds, NetworkConfig(), OptimizerConfig(epochs=5), val)
+        assert len(forks) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        train(ds, NetworkConfig(), OptimizerConfig(epochs=5), val)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        train(ds, NetworkConfig(), OptimizerConfig(epochs=5), val)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("action, error", [
+        ("ignore", "TrainingDiverged: non-finite validation risks at epoch 0"),
+        ("error", "RuntimeWarning: overflow encountered in matmul"),
+    ])
+    def test_overflowing_validation_set(self, worker_cpus, action, error):
+        rng = np.random.default_rng(41)
+        ds, val = random_dataset(rng, n=100, d=4), random_dataset(rng, n=30, d=4)
+        # finite, valid covariates whose products overflow
+        val = SurvivalDataset(np.sign(val.covariates) * 1e308, val.times, val.events)
+        args = (ds, NetworkConfig(2, 8), OptimizerConfig(epochs=5), val)
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            assert _failure(args, 1, worker_cpus) == error
+            assert _failure(args, 2, worker_cpus) == error
+
+    @pytest.mark.parametrize("lr, error", [
+        (1e2, "non-finite validation risks at epoch 45"),
+        (1e3, "non-finite loss at epoch 36"),
+    ])
+    def test_divergence_names_the_serial_epoch(self, worker_cpus, lr, error):
+        rng = np.random.default_rng(41)
+        ds, val = random_dataset(rng, n=100, d=4), random_dataset(rng, n=30, d=4)
+        opt_cfg = OptimizerConfig("sgd", lr, momentum=0.0, epochs=100, seed=5)
+        args = (ds, NetworkConfig(1, 4), opt_cfg, val)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert _failure(args, 1, worker_cpus) == f"TrainingDiverged: {error}"
+            assert _failure(args, 2, worker_cpus) == f"TrainingDiverged: {error}"
+
+    @staticmethod
+    def _on_loss_call(monkeypatch, epoch, act):
+        """Pass the full-batch loss of `epoch` through `act`."""
+        calls = []
+
+        def loss(*args):
+            calls.append(None)
+            value = riskmlp.cox_loss(*args)
+            return act(value) if len(calls) == epoch + 1 else value
+
+        monkeypatch.setattr(optim, "cox_loss", loss)
+
+    @staticmethod
+    def _nan_validation(monkeypatch, epoch):
+        """Make the validation risks of `epoch` NaN (`None`: no epoch's)."""
+        calls = []
+
+        def forward_nan_once(net, x):
+            calls.append(None)
+            risks = riskmlp.forward(net, x)
+            return risks * np.nan if len(calls) - 1 == epoch else risks
+
+        monkeypatch.setattr(optim, "forward", forward_nan_once)
+
+    @pytest.mark.parametrize("bad_epoch, error", [
+        (None, None),
+        (0, "TrainingDiverged: non-finite validation risks at epoch 0"),
+        (2, "TrainingDiverged: non-finite validation risks at epoch 2"),
+        (3, None),  # epoch 3's training fails before its validation
+    ])
+    @pytest.mark.parametrize("parent_error", [
+        "TrainingDiverged: non-finite loss at epoch 3", "KeyboardInterrupt: ",
+    ])
+    def test_earlier_validation_error_comes_first(
+        self, worker_cpus, monkeypatch, bad_epoch, error, parent_error
+    ):
+        def fail(loss):
+            if parent_error.startswith("KeyboardInterrupt"):
+                raise KeyboardInterrupt
+            return np.nan
+
+        ds, val = TestTrain.linear_toy(40), TestTrain.linear_toy(20, seed=7)
+        args = (ds, NetworkConfig(), OptimizerConfig(epochs=10), val)
+        for cpus in (1, 2):
+            self._nan_validation(monkeypatch, bad_epoch)
+            self._on_loss_call(monkeypatch, 3, fail)
+            assert _failure(args, cpus, worker_cpus) == (error or parent_error)
+
+    def test_dead_worker_is_named(self, worker_cpus, monkeypatch, forks):
+        def kill(loss):
+            os.kill(forks[-1], signal.SIGKILL)
+            return loss
+
+        self._on_loss_call(monkeypatch, 3, kill)
+        ds, val = TestTrain.linear_toy(40), TestTrain.linear_toy(20, seed=7)
+        args = (ds, NetworkConfig(), OptimizerConfig(epochs=10), val)
+        message = f"RuntimeError: the validation worker died: killed by signal {signal.SIGKILL:d}"
+        assert _failure(args, 2, worker_cpus) == message
+        assert len(forks) == 1
+
+    def test_error_that_does_not_pickle_is_sent_as_text(self, worker_cpus, monkeypatch):
+        class LocalError(Exception):  # a local class does not pickle
+            pass
+
+        def forward_fails(net, x):
+            raise LocalError("no risks")
+
+        monkeypatch.setattr(optim, "forward", forward_fails)
+        ds, val = TestTrain.linear_toy(40), TestTrain.linear_toy(20, seed=7)
+        args = (ds, NetworkConfig(), OptimizerConfig(epochs=3), val)
+        assert _failure(args, 1, worker_cpus) == "LocalError: no risks"
+        assert _failure(args, 2, worker_cpus) == "RuntimeError: LocalError: no risks"
 
 
 class TestKfold:
@@ -457,7 +627,7 @@ _BLAS_CAP_SCRIPT = """
 import ctypes, glob, json, os, shutil, sys
 from unittest import mock
 import numpy
-from coxkit import optim
+from coxkit import optim, riskmlp
 
 paths = glob.glob(os.path.dirname(numpy.__file__) + ".libs/*openblas*")
 bundled = [ctypes.CDLL(path) for path in paths]
