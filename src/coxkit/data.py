@@ -20,6 +20,7 @@ import csv
 import functools
 import itertools
 import os
+import signal
 import tempfile
 from dataclasses import dataclass
 
@@ -409,32 +410,15 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _part_bounds(n_rows: int, n_columns: int) -> list[int]:
-    """Row bounds of the parts `write_columns` writes a table in: at most one
-    part per usable CPU, per `_PART_CELLS` cells and per row."""
-    parts = max(1, min(usable_cpus(), n_rows, n_rows * n_columns // _PART_CELLS))
-    return [n_rows * k // parts for k in range(parts + 1)]
-
-
-def _write_rows(fh, cells, start: int, stop: int) -> None:
-    """Rows [start, stop) of formatted columns, `_WRITE_BLOCK_ROWS` at a time."""
-    for begin in range(start, stop, _WRITE_BLOCK_ROWS):
-        end = min(begin + _WRITE_BLOCK_ROWS, stop)
-        block = [map(fmt, column[begin:end].tolist()) for column, fmt in cells]
-        fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
-
-
-def _fork_part(part, cells, start: int, stop: int) -> int:
-    """Fork a child that writes rows [start, stop) into the file `part` and
-    leaves through `os._exit`: 0, the errno of an `OSError`, or 255. The
-    child only formats and writes; it calls no BLAS, whose threads a fork
-    does not copy."""
+def fork_child(body, *args) -> int:
+    """Fork a child that runs `body(*args)`; return its pid. The child leaves
+    only through `os._exit`, flushing nothing: 0 once the body returns, the
+    errno of an `OSError` (255 from 255 up), else 255."""
     pid = os.fork()
     if pid == 0:
         code = 255
         try:
-            with open(part.fileno(), "w", newline="", encoding="utf-8", closefd=False) as fh:
-                _write_rows(fh, cells, start, stop)
+            body(*args)
             code = 0
         except OSError as exc:
             code = exc.errno if exc.errno and exc.errno < 255 else 255
@@ -443,10 +427,38 @@ def _fork_part(part, cells, start: int, stop: int) -> int:
     return pid
 
 
-def _reap(children) -> None:
-    """Wait for every child in `children` (pid first) not yet reaped."""
-    for pid, *_ in children:
+def reap_child(pid: int) -> str | None:
+    """Wait for the child `pid`: None if it exited 0, else how it ended:
+    ``killed by signal N``, its errno's text, or ``exit status N``. A wait
+    that is interrupted kills and reaps the child, then propagates."""
+    try:
+        status = os.waitpid(pid, 0)[1]
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
+        raise
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        return f"killed by signal {-code}"
+    if code == 0:
+        return None
+    return os.strerror(code) if code < 255 else f"exit status {code}"
+
+
+def _part_bounds(n_rows: int, n_columns: int) -> list[int]:
+    """Row bounds of the parts `write_columns` writes a table in: at most one
+    part per usable CPU, per `_PART_CELLS` cells and per row."""
+    parts = max(1, min(usable_cpus(), n_rows, n_rows * n_columns // _PART_CELLS))
+    return [n_rows * k // parts for k in range(parts + 1)]
+
+
+def _write_rows(fh, cells, start: int, stop: int) -> None:
+    """Rows [start, stop) of formatted columns, `_WRITE_BLOCK_ROWS` at a time, flushed."""
+    for begin in range(start, stop, _WRITE_BLOCK_ROWS):
+        end = min(begin + _WRITE_BLOCK_ROWS, stop)
+        block = [map(fmt, column[begin:end].tolist()) for column, fmt in cells]
+        fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
+    fh.flush()
 
 
 def write_columns(path, header, columns, comment: str | None = None) -> None:
@@ -460,13 +472,14 @@ def write_columns(path, header, columns, comment: str | None = None) -> None:
     A large table is written by one process per CPU in the affinity mask
     (`os.sched_getaffinity`, so `taskset` limits them), each part of at least
     `_PART_CELLS` cells. Before writing, one child per part after the first
-    is forked; it formats its rows, block by block as the serial loop does,
-    into an unnamed temporary file in the output's directory. This process
-    writes the comment, the header and the first part, then waits for each
-    child in order and appends its file through `os.sendfile`. The bytes do
-    not depend on the number of parts. Every child is waited for, also when
-    this raises; a failed child raises `OSError` naming `path`. A small
-    table, or a system without an affinity mask, is written here, serially.
+    is forked by `fork_child`; it formats its rows, block by block as the
+    serial loop does, into an unnamed temporary file in the output's
+    directory. This process writes the comment, the header and the first
+    part, then reaps each child in order (`reap_child`) and appends its file
+    through `os.sendfile`. The bytes do not depend on the number of parts.
+    Every child is waited for, also when this raises; a failed child raises
+    `OSError` naming `path`, its rows and how it ended. A small table, or a
+    system without an affinity mask, is written here, serially.
     """
     cells = []
     for column in columns:
@@ -482,24 +495,21 @@ def write_columns(path, header, columns, comment: str | None = None) -> None:
     with contextlib.ExitStack() as stack:
         fh = stack.enter_context(open(path, "w", newline="", encoding="utf-8"))
         children = []  # (pid, part file, first row, stop row), not yet reaped
-        stack.callback(_reap, children)
+        stack.callback(lambda: [reap_child(pid) for pid, *_ in children])
         for start, stop in zip(bounds[1:-1], bounds[2:]):
-            # unbuffered: only the child writes it, through a buffer of its own
             part = stack.enter_context(tempfile.TemporaryFile(
-                buffering=0, dir=os.path.dirname(os.path.abspath(path))
+                "w", newline="", encoding="utf-8", dir=os.path.dirname(os.path.abspath(path))
             ))
-            children.append((_fork_part(part, cells, start, stop), part, start, stop))
+            # the child only formats and writes: no BLAS, whose threads a fork does not copy
+            pid = fork_child(_write_rows, part, cells, start, stop)
+            children.append((pid, part, start, stop))
         if comment is not None:
             fh.write(f"# {comment}\n")
         csv.writer(fh).writerow(header)
         _write_rows(fh, cells, 0, bounds[1])
-        fh.flush()
         while children:
-            pid, part, start, stop = children[0]
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            if code:
-                reason = os.strerror(code) if 0 < code < 255 else f"exit status {code}"
+            pid, part, start, stop = children.pop(0)
+            if reason := reap_child(pid):
                 raise OSError(
                     f"{path}: the process writing rows {start}-{stop - 1} failed: {reason}"
                 )

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from coxkit.data import SurvivalDataset, sort_view, usable_cpus
+from coxkit.data import SurvivalDataset, fork_child, reap_child, sort_view, usable_cpus
 from coxkit.metrics import concordance_index
 from coxkit.riskmlp import (
     ACTIVATIONS,
@@ -201,85 +201,73 @@ def _validate(net: RiskNetwork, val_ds: SurvivalDataset, epoch: int) -> float:
     return concordance_index(val_ds.times, val_ds.events, risks)
 
 
-def _serve_validation(net, params, val_ds, param_read: int, result_write: int) -> None:
-    """The validation worker's body: validate each parameter vector read from
-    `param_read` until it closes or a validation fails, then write the curve
-    and the error (or None), pickled, to `result_write`. Leaves only through
-    `os._exit`: 0 once the results are written, 255 otherwise."""
-    code = 255
+def _serve_validation(net, params, val_ds, pipes) -> None:
+    """The validation worker's body. It closes the parent's ends of `pipes`
+    (param read, param write, result read, result write), validates each
+    parameter vector read until that pipe closes or a validation fails, then
+    writes the curve and the error (or None), pickled, to the result pipe."""
+    param_read, param_write, result_read, result_write = pipes
+    os.close(param_write)
+    os.close(result_read)
+    # a terminal's interrupt reaches the whole process group; the parent
+    # handles it, and still collects the epochs it has sent
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    curve, error = [], None
+    buffer = memoryview(params).cast("B")  # `net`'s arrays are views of it
+    with open(param_read, "rb") as fh:
+        while fh.readinto(buffer) == len(buffer):
+            try:
+                curve.append(_validate(net, val_ds, len(curve)))
+            except Exception as exc:  # raised again in the parent
+                error = exc
+                break
     try:
-        # a terminal's interrupt reaches the whole process group; the parent
-        # handles it, and still collects the epochs it has sent
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        curve, error = [], None
-        buffer = memoryview(params).cast("B")  # `net`'s arrays are views of it
-        with open(param_read, "rb") as fh:
-            while fh.readinto(buffer) == len(buffer):
-                try:
-                    curve.append(_validate(net, val_ds, len(curve)))
-                except Exception as exc:  # raised again in the parent
-                    error = exc
-                    break
-        try:
-            payload = pickle.dumps((curve, error))
-        except Exception:  # an error that does not pickle is sent as text
-            error = RuntimeError(f"{type(error).__name__}: {error}")
-            payload = pickle.dumps((curve, error))
-        with open(result_write, "wb") as fh:
-            fh.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
+        payload = pickle.dumps((curve, error))
+    except Exception:  # an error that does not pickle is sent as text
+        error = RuntimeError(f"{type(error).__name__}: {error}")
+        payload = pickle.dumps((curve, error))
+    with open(result_write, "wb") as fh:
+        fh.write(payload)
 
 
 class _ValidationWorker:
-    """A forked child that validates each epoch's parameters while this
-    process trains the next epoch; see `train`."""
+    """A child, forked by `data.fork_child`, that validates each epoch's
+    parameters while this process trains the next epoch; see `train`."""
 
     def __init__(self, net: RiskNetwork, params: np.ndarray, val_ds: SurvivalDataset):
-        param_read, self._param_write = os.pipe()
-        self._result_read, result_write = os.pipe()
+        pipes = os.pipe() + os.pipe()
+        param_read, self._param_write, self._result_read, result_write = pipes
         try:
-            self._pid = os.fork()
+            self._pid = fork_child(_serve_validation, net, params, val_ds, pipes)
         except OSError:
-            for fd in (param_read, self._param_write, self._result_read, result_write):
+            for fd in pipes:
                 os.close(fd)
             raise
-        if self._pid == 0:
-            os.close(self._param_write)
-            os.close(self._result_read)
-            _serve_validation(net, params, val_ds, param_read, result_write)
         os.close(param_read)
         os.close(result_write)
-        self._sent = 0
 
     def send(self, params: np.ndarray) -> None:
         """Queue one epoch's parameters; BrokenPipeError once the child left."""
         data = memoryview(params).cast("B")
         while data:
             data = data[os.write(self._param_write, data) :]
-        self._sent += 1
 
     def collect(self) -> list[float]:
-        """The C-index of every epoch sent, after reaping the child; raises
-        the first validation error, or RuntimeError if the child died."""
+        """The C-index of every epoch sent, read before the child is reaped
+        (`data.reap_child`); raises the first validation error, or
+        RuntimeError naming how the child ended if it failed."""
         os.close(self._param_write)
         try:
             with open(self._result_read, "rb") as fh:
                 payload = fh.read()
-        except BaseException:  # interrupted: stop the child, then reap it
-            os.kill(self._pid, signal.SIGKILL)
-            raise
         finally:
-            code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
-        if payload and code == 0:
-            curve, error = pickle.loads(payload)
-            if error is not None:
-                raise error
-            if len(curve) == self._sent:
-                return curve
-        reason = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-        raise RuntimeError(f"the validation worker died: {reason}")
+            reason = reap_child(self._pid)
+        if reason is not None:
+            raise RuntimeError(f"the validation worker died: {reason}")
+        curve, error = pickle.loads(payload)
+        if error is not None:
+            raise error
+        return curve
 
 
 def train(
@@ -297,14 +285,15 @@ def train(
 
     With `val_ds`, each epoch's validation C-index is taken from the
     network's risks on it. On two or more usable CPUs, and from
-    `_WORKER_ROW_EPOCHS` validation rows x epochs, a forked worker takes it:
-    after each epoch this process writes the flat parameter vector down a
-    pipe and trains the next epoch while the worker validates, and it reads
-    the curve back at the end. The worker leaves at its first error, which
-    is raised here with its type and message; when training fails, the
-    worker's error from an earlier epoch comes first, as in the serial
-    loop. The worker is reaped on every path, and one that dies raises
-    RuntimeError. Both ways give the same floats.
+    `_WORKER_ROW_EPOCHS` validation rows x epochs, a worker forked by
+    `data.fork_child` takes it: after each epoch this process writes the
+    flat parameter vector down a pipe and trains the next epoch while the
+    worker validates, and it reads the curve back down a second pipe at the
+    end. The worker leaves at its first error, which is raised here with its
+    type and message; when training fails, the worker's error from an
+    earlier epoch comes first, as in the serial loop. The worker is reaped
+    on every path (`data.reap_child`), and one that fails raises
+    RuntimeError naming how it ended. Both ways give the same floats.
     """
     if train_ds.n_events == 0:
         raise ValueError("no observed events")

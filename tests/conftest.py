@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from coxkit import data, optim
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 # GitHub Actions sets CI: examples then derive from each test's source, not a
@@ -31,6 +33,21 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counted)
     return pids
+
+
+@pytest.fixture
+def cpus(monkeypatch, forks):
+    """Sets the CPUs every forking site sees, with one cell enough for a
+    part of `data.write_columns` and one validation row x epoch enough for
+    a validation worker of `optim.train`."""
+    monkeypatch.setattr(data, "_PART_CELLS", 1)
+    monkeypatch.setattr(optim, "_WORKER_ROW_EPOCHS", 1)
+
+    def set_cpus(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)),
+                            raising=False)
+
+    return set_cpus
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -47,7 +47,7 @@ from coxkit.riskmlp import (
     forward_cached,
     init_network,
 )
-from coxkit.simulate import SimulationSpec, generate, risk_linear
+from coxkit.simulate import SimulationSpec, generate, risk_gaussian, risk_linear
 from helpers import (
     brute_force_cindex,
     identity_standardization,
@@ -65,6 +65,14 @@ SURFACE_SHARE_BOUND = 0.05
 # the largest share measured with the fixture's network, optimizer and split
 # on simulation seeds 1-7 and 13 (0.123-0.173; 0.135 at the fixture's 13)
 NONLINEAR_DEEP_SHARE_BOUND = 0.35
+# bounds on criterion 4's recommender value risk(tau=1) - risk(tau=0) against
+# each test patient's true effect h(x), with the fixture's network, optimizer
+# and split. On simulation seeds 1-11 and 17 the deep value correlates
+# 0.722-0.842 with h (0.748 at the fixture's 17), 0.22 above this bound, and
+# leaves 0.609-0.790 of var(h) unexplained (0.730), 0.11 below the share
+# bound; a constant value and the linear CPH's leave all of it (share 1.0)
+EFFECT_CORRELATION_BOUND = 0.5
+EFFECT_SHARE_BOUND = 0.9
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -82,6 +90,10 @@ class ExperimentResult:
     var_true_test: float
     recommendation_report: object
     elapsed: float
+    # with a treatment arm: each test patient's true effect h(x), and the
+    # linear CPH's recommender values
+    true_effect_test: np.ndarray | None = None
+    cph_rec_values: np.ndarray | None = None
 
 
 def surface_share(mse: float, true_variance: float) -> float:
@@ -91,6 +103,15 @@ def surface_share(mse: float, true_variance: float) -> float:
     true risks, so a share of 1 means no recovery and 0 means exact recovery.
     """
     return mse / true_variance
+
+
+def effect_correlation(values, effect) -> float:
+    """Pearson correlation of recommender values with the true effect; 0 for
+    values without spread, which rank no patient above another."""
+    values = np.asarray(values, dtype=float) - np.mean(values)
+    effect = np.asarray(effect, dtype=float) - np.mean(effect)
+    norm = np.sqrt(np.sum(values**2) * np.sum(effect**2))
+    return float(np.sum(values * effect) / norm) if norm > 0 else 0.0
 
 
 def run_experiment(spec, net_config, opt_config) -> ExperimentResult:
@@ -107,9 +128,11 @@ def run_experiment(spec, net_config, opt_config) -> ExperimentResult:
     net, _ = train(train_ds, net_config, opt_config)
     deep_risks = predict(net, test_ds.covariates)
 
-    recommendation_report = None
+    recommendation_report = true_effect_test = cph_rec_values = None
     if spec.with_treatment:
         recommendation_report = evaluate_recommendations(test_ds, net)
+        true_effect_test = risk_gaussian(parts[2].covariates, spec.lambda_max, spec.r)
+        cph_rec_values = evaluate_recommendations(test_ds, cph).rec_values
 
     return ExperimentResult(
         c_cph=concordance_index(test_ds.times, test_ds.events, cph_risks),
@@ -119,6 +142,8 @@ def run_experiment(spec, net_config, opt_config) -> ExperimentResult:
         var_true_test=float(np.var(true_test)),
         recommendation_report=recommendation_report,
         elapsed=time.monotonic() - started,
+        true_effect_test=true_effect_test,
+        cph_rec_values=cph_rec_values,
     )
 
 
@@ -263,6 +288,35 @@ def test_criterion_4_treatment_experiment(treatment_experiment):
     assert r.c_deep >= 0.55
     assert rec.median_recommendation > rec.median_anti_recommendation
     assert rec.log_rank_result.p_value < 0.05
+
+
+def test_treatment_effect_recovery(treatment_experiment):
+    # companion to criterion 4, whose effect tau * h(x) has h >= 0, so that a
+    # constant "always control" recommender reproduces its numbers: the deep
+    # recommender value must also track h(x) patient by patient
+    r = treatment_experiment
+    effect = r.true_effect_test
+    variance = float(np.var(effect))
+
+    def correlation_and_share(values):
+        return (effect_correlation(values, effect),
+                surface_share(risk_mse(values, effect), variance))
+
+    correlation, share = correlation_and_share(r.recommendation_report.rec_values)
+    assert correlation >= EFFECT_CORRELATION_BOUND, (
+        f"deep recommender values correlate {correlation:.4f} with the true effect "
+        f"(< {EFFECT_CORRELATION_BOUND})"
+    )
+    assert share <= EFFECT_SHARE_BOUND, (
+        f"deep recommender values leave {share:.4f} of the true effect's variance "
+        f"{variance:.4f} unexplained (> {EFFECT_SHARE_BOUND})"
+    )
+    # a constant recommender and the linear CPH, whose value is the treatment
+    # coefficient for every patient up to rounding, fail both bounds
+    for values in (np.full(effect.shape, 0.8), r.cph_rec_values):
+        correlation, share = correlation_and_share(values)
+        assert correlation < EFFECT_CORRELATION_BOUND
+        assert share > EFFECT_SHARE_BOUND
 
 
 def test_criterion_5_gradient_oracle():

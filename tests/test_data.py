@@ -1,6 +1,8 @@
 import errno
 import os
 import re
+import signal
+import time
 import tracemalloc
 from unittest import mock
 
@@ -205,16 +207,13 @@ class TestWriteCsvMatchesRowWriter:
         assert (tmp_path / "x.csv").read_bytes() == b"# c\na,b\r\n"
 
 
-@pytest.fixture
-def cpus(monkeypatch, forks):
-    """Sets the CPUs `write_columns` sees, with one cell enough for a part."""
-    monkeypatch.setattr(data, "_PART_CELLS", 1)
-
-    def set_cpus(k):
-        monkeypatch.setattr(data.os, "sched_getaffinity", lambda pid: set(range(k)),
-                            raising=False)
-
-    return set_cpus
+def _end(how):
+    """Raise `how` if it is an exception, send this process the signal `how`
+    if it is one, or return for None."""
+    if isinstance(how, BaseException):
+        raise how
+    if how is not None:
+        os.kill(os.getpid(), how)
 
 
 def _mixed_columns(n):
@@ -307,6 +306,7 @@ class TestWriteColumnsInParts:
         [
             (OSError(errno.ENOSPC, "No space left on device"), "No space left on device"),
             (ValueError("bad cell"), "exit status 255"),
+            (signal.SIGKILL, f"killed by signal {signal.SIGKILL:d}"),
         ],
     )
     def test_failed_child_names_the_path(self, tmp_path, cpus, monkeypatch, error, reason):
@@ -314,7 +314,7 @@ class TestWriteColumnsInParts:
 
         def fail_in_child(fh, cells, start, stop):
             if os.getpid() != parent:
-                raise error
+                _end(error)
             write_rows(fh, cells, start, stop)
 
         monkeypatch.setattr(data, "_write_rows", fail_in_child)
@@ -341,6 +341,42 @@ class TestWriteColumnsInParts:
         assert len(forks) == 3
         assert_no_child_left()
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+class TestForkAndReap:
+    """`reap_child` names how a child of `fork_child` ended, and leaves no
+    child behind."""
+
+    @pytest.mark.parametrize("how, reason", [
+        (None, None),
+        (OSError(errno.ENOSPC, "disk full"), os.strerror(errno.ENOSPC)),
+        (OSError("no errno"), "exit status 255"),
+        (OSError(300, "errno past 254"), "exit status 255"),
+        (ValueError("bad cell"), "exit status 255"),
+        (signal.SIGKILL, f"killed by signal {signal.SIGKILL:d}"),
+    ])
+    def test_ending(self, how, reason):
+        assert data.reap_child(data.fork_child(_end, how)) == reason
+        assert_no_child_left()
+
+    def test_interrupted_wait_kills_and_reaps(self, monkeypatch):
+        waitpid, calls = os.waitpid, []
+
+        def interrupted_once(pid, options):
+            calls.append(pid)
+            if len(calls) == 1:
+                raise KeyboardInterrupt
+            return waitpid(pid, options)
+
+        pid = data.fork_child(time.sleep, 60)
+        monkeypatch.setattr(os, "waitpid", interrupted_once)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            data.reap_child(pid)
+        monkeypatch.undo()
+        assert calls == [pid, pid]
+        assert time.monotonic() - started < 30
+        assert_no_child_left()
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)

@@ -254,23 +254,10 @@ class TestTrain:
         assert history.val_cindex[-1] > 0.70
 
 
-@pytest.fixture
-def worker_cpus(monkeypatch):
-    """Sets the CPUs `train` sees, with one validation row x epoch enough
-    for a validation worker."""
-    monkeypatch.setattr(optim, "_WORKER_ROW_EPOCHS", 1)
-
-    def set_cpus(k):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)),
-                            raising=False)
-
-    return set_cpus
-
-
-def _failure(train_args, cpus, set_cpus):
-    """`type: message` of the error `train(*train_args)` raises on `cpus`
-    CPUs; no process may be left behind."""
-    set_cpus(cpus)
+def _failure(train_args, n_cpus, cpus):
+    """`type: message` of the error `train(*train_args)` raises on `n_cpus`
+    CPUs, set by the `cpus` fixture; no process may be left behind."""
+    cpus(n_cpus)
     with pytest.raises(BaseException) as info:
         train(*train_args)
     assert_no_child_left()
@@ -282,14 +269,14 @@ class TestValidationWorker:
     epochs, a forked worker validates each epoch; it gives the serial loop's
     floats and errors, and no process outlives `train`."""
 
-    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("n_cpus", [1, 2])
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     @pytest.mark.parametrize("batch_size", [None, 8, 64])
     @pytest.mark.parametrize("clip_norm", [None, 1e-3])
-    def test_same_floats(self, worker_cpus, forks, cpus, kind, batch_size, clip_norm):
-        worker_cpus(cpus)
+    def test_same_floats(self, cpus, forks, n_cpus, kind, batch_size, clip_norm):
+        cpus(n_cpus)
         trainings = assert_same_floats_as_reference(kind, batch_size, clip_norm)
-        assert len(forks) == (trainings if cpus > 1 else 0)
+        assert len(forks) == (trainings if n_cpus > 1 else 0)
         assert_no_child_left()
 
     def test_forks_only_from_the_constant_on_two_cpus(self, monkeypatch, forks):
@@ -312,7 +299,7 @@ class TestValidationWorker:
         ("ignore", "TrainingDiverged: non-finite validation risks at epoch 0"),
         ("error", "RuntimeWarning: overflow encountered in matmul"),
     ])
-    def test_overflowing_validation_set(self, worker_cpus, action, error):
+    def test_overflowing_validation_set(self, cpus, action, error):
         rng = np.random.default_rng(41)
         ds, val = random_dataset(rng, n=100, d=4), random_dataset(rng, n=30, d=4)
         # finite, valid covariates whose products overflow
@@ -320,22 +307,22 @@ class TestValidationWorker:
         args = (ds, NetworkConfig(2, 8), OptimizerConfig(epochs=5), val)
         with warnings.catch_warnings():
             warnings.simplefilter(action, RuntimeWarning)
-            assert _failure(args, 1, worker_cpus) == error
-            assert _failure(args, 2, worker_cpus) == error
+            assert _failure(args, 1, cpus) == error
+            assert _failure(args, 2, cpus) == error
 
     @pytest.mark.parametrize("lr, error", [
         (1e2, "non-finite validation risks at epoch 45"),
         (1e3, "non-finite loss at epoch 36"),
     ])
-    def test_divergence_names_the_serial_epoch(self, worker_cpus, lr, error):
+    def test_divergence_names_the_serial_epoch(self, cpus, lr, error):
         rng = np.random.default_rng(41)
         ds, val = random_dataset(rng, n=100, d=4), random_dataset(rng, n=30, d=4)
         opt_cfg = OptimizerConfig("sgd", lr, momentum=0.0, epochs=100, seed=5)
         args = (ds, NetworkConfig(1, 4), opt_cfg, val)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            assert _failure(args, 1, worker_cpus) == f"TrainingDiverged: {error}"
-            assert _failure(args, 2, worker_cpus) == f"TrainingDiverged: {error}"
+            assert _failure(args, 1, cpus) == f"TrainingDiverged: {error}"
+            assert _failure(args, 2, cpus) == f"TrainingDiverged: {error}"
 
     @staticmethod
     def _on_loss_call(monkeypatch, epoch, act):
@@ -371,7 +358,7 @@ class TestValidationWorker:
         "TrainingDiverged: non-finite loss at epoch 3", "KeyboardInterrupt: ",
     ])
     def test_earlier_validation_error_comes_first(
-        self, worker_cpus, monkeypatch, bad_epoch, error, parent_error
+        self, cpus, monkeypatch, bad_epoch, error, parent_error
     ):
         def fail(loss):
             if parent_error.startswith("KeyboardInterrupt"):
@@ -380,12 +367,12 @@ class TestValidationWorker:
 
         ds, val = TestTrain.linear_toy(40), TestTrain.linear_toy(20, seed=7)
         args = (ds, NetworkConfig(), OptimizerConfig(epochs=10), val)
-        for cpus in (1, 2):
+        for n_cpus in (1, 2):
             self._nan_validation(monkeypatch, bad_epoch)
             self._on_loss_call(monkeypatch, 3, fail)
-            assert _failure(args, cpus, worker_cpus) == (error or parent_error)
+            assert _failure(args, n_cpus, cpus) == (error or parent_error)
 
-    def test_dead_worker_is_named(self, worker_cpus, monkeypatch, forks):
+    def test_dead_worker_is_named(self, cpus, monkeypatch, forks):
         def kill(loss):
             os.kill(forks[-1], signal.SIGKILL)
             return loss
@@ -394,10 +381,10 @@ class TestValidationWorker:
         ds, val = TestTrain.linear_toy(40), TestTrain.linear_toy(20, seed=7)
         args = (ds, NetworkConfig(), OptimizerConfig(epochs=10), val)
         message = f"RuntimeError: the validation worker died: killed by signal {signal.SIGKILL:d}"
-        assert _failure(args, 2, worker_cpus) == message
+        assert _failure(args, 2, cpus) == message
         assert len(forks) == 1
 
-    def test_error_that_does_not_pickle_is_sent_as_text(self, worker_cpus, monkeypatch):
+    def test_error_that_does_not_pickle_is_sent_as_text(self, cpus, monkeypatch):
         class LocalError(Exception):  # a local class does not pickle
             pass
 
@@ -407,8 +394,8 @@ class TestValidationWorker:
         monkeypatch.setattr(optim, "forward", forward_fails)
         ds, val = TestTrain.linear_toy(40), TestTrain.linear_toy(20, seed=7)
         args = (ds, NetworkConfig(), OptimizerConfig(epochs=3), val)
-        assert _failure(args, 1, worker_cpus) == "LocalError: no risks"
-        assert _failure(args, 2, worker_cpus) == "RuntimeError: LocalError: no risks"
+        assert _failure(args, 1, cpus) == "LocalError: no risks"
+        assert _failure(args, 2, cpus) == "RuntimeError: LocalError: no risks"
 
 
 class TestKfold:
