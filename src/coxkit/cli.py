@@ -548,36 +548,22 @@ def cmd_km(args) -> int:
             )
 
     masks = [codes == code for code in range(len(labels))]
-    files = {}
-    summary = {}
-    for (name, label), mask in zip(names.items(), masks):
-        curve = metrics.kaplan_meier(times[mask], events[mask], alpha=args.alpha)
-        files[name] = (label, curve)
-        summary[label] = {
-            "n": int(mask.sum()),
-            "events": int(events[mask].sum()),
-            "median_survival": metrics.median_survival(curve),
-        }
-
-    log_rank_payload = None
-    p_value = None
-    if len(masks) == 2:
-        mask_a, mask_b = masks
-        result = metrics.log_rank(
-            times[mask_a], events[mask_a], times[mask_b], events[mask_b]
-        )
-        log_rank_payload = {"statistic": result.statistic, "p_value": result.p_value}
-        p_value = result.p_value
+    curves, test = recommend.compare_groups(times, events, masks, alpha=args.alpha)
+    files = {name: (label, curve) for (name, label), curve in zip(names.items(), curves)}
+    summary = {label: {"n": int(mask.sum()), "events": int(events[mask].sum()),
+                       "median_survival": metrics.median_survival(curve)}
+               for label, mask, curve in zip(labels, masks, curves)}
 
     # every curve and test above may fail, so nothing is written before them
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(
         out_dir / "km.json",
-        {"groups": summary, "log_rank": log_rank_payload, "provenance": prov},
+        {"groups": summary, "log_rank": None if test is None else asdict(test),
+         "provenance": prov},
     )
     _write_curves(out_dir, prov, files, "km.svg", title="Kaplan-Meier survival",
-                  p_value=p_value)
+                  p_value=None if test is None else test.p_value)
     print(f"km: wrote {len(files)} curve(s) to {out_dir}")
     return 0
 

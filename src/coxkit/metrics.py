@@ -230,6 +230,19 @@ def bootstrap_ci(
     return BootstrapInterval(lower=float(lower), upper=float(upper), redraws=redraws)
 
 
+def _risk_table(times, events, grid=None):
+    """Sorted distinct times, by default the event times (a given `grid` must
+    hold them all), and at each time t the patients at risk (time >= t) and deaths."""
+    event_times, counts = np.unique(times[events == 1], return_counts=True)
+    if grid is None:
+        grid, deaths = event_times, counts
+    else:
+        deaths = np.zeros(grid.size, dtype=np.int64)
+        deaths[np.searchsorted(grid, event_times)] = counts
+    at_risk = times.size - np.searchsorted(np.sort(times), grid, side="left")
+    return grid, at_risk, deaths
+
+
 def kaplan_meier(times, events, alpha: float = 0.05) -> KaplanMeierCurve:
     """Product-limit estimate with Greenwood confidence bands.
 
@@ -245,13 +258,7 @@ def kaplan_meier(times, events, alpha: float = 0.05) -> KaplanMeierCurve:
     if times.size == 0:
         raise ValueError(shape_error)
 
-    ts = np.sort(times)
-    event_times, deaths = np.unique(times[events == 1], return_counts=True)
-    if event_times.size == 0:
-        empty = np.array([])
-        return KaplanMeierCurve(empty, empty, empty, empty, empty.astype(int), empty.astype(int))
-
-    at_risk = ts.size - np.searchsorted(ts, event_times, side="left")
+    event_times, at_risk, deaths = _risk_table(times, events)
     survival = np.cumprod(1.0 - deaths / at_risk)
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -296,25 +303,11 @@ def log_rank(times_a, events_a, times_b, events_b) -> LogRankResult:
     tb, eb = _validate_survival(times_b, events_b, shape_error)
     if ta.size == 0 or tb.size == 0:
         raise ValueError("both groups must be non-empty")
-    pooled_t = np.concatenate([ta, tb])
-    pooled_e = np.concatenate([ea, eb])
-    if pooled_e.sum() == 0:
+    event_times = np.union1d(ta[ea == 1], tb[eb == 1])
+    if event_times.size == 0:
         raise ValueError("log-rank needs at least one observed event")
-
-    event_times = np.unique(pooled_t[pooled_e == 1])
-    sa = np.sort(ta)
-    sb = np.sort(tb)
-    na = ta.size - np.searchsorted(sa, event_times, side="left")
-    nb = tb.size - np.searchsorted(sb, event_times, side="left")
-
-    def deaths_on_grid(t, e):
-        uniq, counts = np.unique(t[e == 1], return_counts=True)
-        out = np.zeros(event_times.size)
-        out[np.searchsorted(event_times, uniq)] = counts
-        return out
-
-    da = deaths_on_grid(ta, ea)
-    db = deaths_on_grid(tb, eb)
+    _, na, da = _risk_table(ta, ea, event_times)
+    _, nb, db = _risk_table(tb, eb, event_times)
     n = (na + nb).astype(float)
     d = da + db
 

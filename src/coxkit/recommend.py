@@ -4,12 +4,13 @@
 input, always the model's last, and the recommended group is the one of
 lowest risk (ties to the smaller label). Patients are partitioned by whether
 their assigned treatment matches it, and the two subsets are compared by
-Kaplan-Meier curves, median survival and a log-rank test.
+median survival and by `compare_groups`, the one comparison of patient groups
+(the `km` command's too): their Kaplan-Meier curves and log-rank test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -78,6 +79,19 @@ def group_risks(model, x, groups) -> np.ndarray:
     return risks
 
 
+def compare_groups(
+    times, events, masks, alpha: float = 0.05
+) -> tuple[list[KaplanMeierCurve], LogRankResult | None]:
+    """The Kaplan-Meier curve at level 1 - alpha of each boolean mask's rows of
+    the `times` and `events` arrays, and the log-rank test of exactly two masks
+    (else None)."""
+    groups = [(times[mask], events[mask]) for mask in masks]
+    curves = [kaplan_meier(t, e, alpha=alpha) for t, e in groups]
+    if len(groups) != 2:
+        return curves, None
+    return curves, log_rank(*groups[0], *groups[1])
+
+
 def evaluate_recommendations(ds_test: SurvivalDataset, model) -> RecommendationReport:
     """Partition test patients by agreement with the model's recommendations.
 
@@ -107,13 +121,8 @@ def evaluate_recommendations(ds_test: SurvivalDataset, model) -> RecommendationR
     if is_rec.all():
         raise ValueError("Anti-Recommendation subset is empty")
 
-    km_rec = kaplan_meier(ds_test.times[is_rec], ds_test.events[is_rec])
-    km_anti = kaplan_meier(ds_test.times[~is_rec], ds_test.events[~is_rec])
-    lr = log_rank(
-        ds_test.times[is_rec],
-        ds_test.events[is_rec],
-        ds_test.times[~is_rec],
-        ds_test.events[~is_rec],
+    (km_rec, km_anti), lr = compare_groups(
+        ds_test.times, ds_test.events, [is_rec, ~is_rec]
     )
     return RecommendationReport(
         groups=groups,
@@ -138,10 +147,7 @@ def report_to_dict(report: RecommendationReport) -> dict:
             "recommendation": report.median_recommendation,
             "anti_recommendation": report.median_anti_recommendation,
         },
-        "log_rank": {
-            "statistic": report.log_rank_result.statistic,
-            "p_value": report.log_rank_result.p_value,
-        },
+        "log_rank": asdict(report.log_rank_result),
         "recommended": report.recommended.tolist(),
         "rec_values": None
         if report.rec_values is None

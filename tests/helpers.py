@@ -159,6 +159,20 @@ def reference_bootstrap_ci(times, events, risks, n_replicates=200, alpha=0.05, s
     return float(lower), float(upper), redraws
 
 
+def reference_risk_table(times, events, grid=None):
+    """The patients at risk and the deaths at each time s of `grid` (by
+    default the distinct event times), counted by a loop over s: sum(t >= s)
+    and sum((t == s) & (e == 1))."""
+    times = np.asarray(times, dtype=float)
+    events = np.asarray(events, dtype=np.int64)
+    if grid is None:
+        grid = sorted(set(times[events == 1].tolist()))
+    at_risk = [int(np.sum(times >= s)) for s in grid]
+    deaths = [int(np.sum((times == s) & (events == 1))) for s in grid]
+    return (np.array(grid, dtype=float), np.array(at_risk, dtype=np.int64),
+            np.array(deaths, dtype=np.int64))
+
+
 def cumsum_loglik_grad_hess(beta, xs, es, starts, stops):
     """Breslow log partial likelihood, gradient and Hessian of a linear Cox model.
 

@@ -30,7 +30,7 @@ from coxkit.data import (
     write_columns,
     write_csv,
 )
-from coxkit.metrics import kaplan_meier
+from coxkit.metrics import kaplan_meier, median_survival
 from coxkit.plots import render_km_svg
 from coxkit.simulate import SimulationSpec, generate
 from helpers import (
@@ -1057,6 +1057,38 @@ class TestKmCommand:
         body = json.loads((out / "km.json").read_text())
         assert body["log_rank"] is not None
         assert (out / "km.svg").exists()
+
+    def test_three_groups_have_curves_and_no_log_rank(self, tmp_path):
+        labels = ["alpha", "beta", "gamma"]
+        # gamma's patients are mostly censored, so its survival stays above 0.5
+        rows = [(1.5 + i % 7, int(i % 3 < 2 or i % 7 == 2), labels[i % 3]) for i in range(60)]
+        data = tmp_path / "d.csv"
+        data.write_text("time,event,grp\n" + "".join(f"{t},{e},{g}\n" for t, e, g in rows),
+                        encoding="utf-8")
+        out = tmp_path / "km"
+        assert run(["km", "--data", str(data), "--group-by", "grp",
+                    "--out-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("*.csv")) == [
+            "km_alpha.csv", "km_beta.csv", "km_gamma.csv"
+        ]
+        body = json.loads((out / "km.json").read_text())
+        assert body["log_rank"] is None
+        times = np.array([t for t, _, _ in rows])
+        events = np.array([e for _, e, _ in rows])
+        groups = np.array([g for _, _, g in rows])
+        for label in labels:
+            mask = groups == label
+            curve = kaplan_meier(times[mask], events[mask])
+            assert body["groups"][label] == {
+                "n": int(mask.sum()),
+                "events": int(events[mask].sum()),
+                "median_survival": median_survival(curve),
+            }
+        assert body["groups"]["gamma"]["median_survival"] is None
+        root = ET.fromstring((out / "km.svg").read_text(encoding="utf-8"))
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert [t for t in texts if t in labels] == labels
+        assert not any(t.startswith("log-rank") for t in texts)
 
     def test_single_curve(self, tmp_path):
         sim = generate(SimulationSpec(n=100, d=4, risk_kind="linear", seed=15))

@@ -2,12 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
 from coxkit.metrics import (
     _EVENT_CHUNK,
+    _risk_table,
     bootstrap_ci,
     concordance_index,
     kaplan_meier,
@@ -21,6 +22,7 @@ from helpers import (
     brute_force_cindex,
     pair_scan_cindex,
     reference_bootstrap_ci,
+    reference_risk_table,
     reference_write_km_csv,
 )
 
@@ -516,6 +518,33 @@ class TestKaplanMeierLogRankProperties:
         # exact arithmetic comes out as ~1e-32). 1e-15 bounds that rounding
         # at these sizes: none of 400k random tables exceeds it.
         assert swapped.statistic == pytest.approx(lr.statistic, rel=1e-12, abs=1e-15)
+
+
+class TestRiskTableMatchesReference:
+    @settings(deadline=None)
+    @given(_tied_groups)
+    # tied deaths and censoring in group 0; group 1 one censored patient
+    @example([(2, 1, 0), (2, 1, 0), (2, 0, 0), (1, 0, 0), (3, 1, 0), (2, 0, 1)])
+    # two one-patient groups, the first without an event
+    @example([(1, 0, 0), (1, 1, 1)])
+    # no event at all: an empty table
+    @example([(1, 0, 0), (3, 0, 1), (3, 0, 1)])
+    def test_kaplan_meier_and_pooled_grid_tables(self, rows):
+        times, events, groups = (np.array(col) for col in zip(*rows))
+        times = times.astype(float)
+        km = kaplan_meier(times, events)
+        want = reference_risk_table(times, events)
+        for got, expected in zip((km.event_times, km.at_risk, km.deaths), want):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+        # the grid `log_rank` pools from both groups' event times
+        grid = want[0]
+        for group in (0, 1):
+            mask = groups == group
+            table = _risk_table(times[mask], events[mask], grid)
+            for got, expected in zip(table, reference_risk_table(times[mask], events[mask], grid)):
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected)
 
 
 class TestRiskMse:

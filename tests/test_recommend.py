@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,9 @@ from hypothesis import strategies as st
 
 from coxkit.coxlinear import LinearCoxModel, fit_cph
 from coxkit.data import SurvivalDataset, model_inputs
+from coxkit.metrics import kaplan_meier, log_rank
 from coxkit.recommend import (
+    compare_groups,
     evaluate_recommendations,
     group_risks,
     predict,
@@ -195,6 +199,30 @@ class TestRecommendTreatment:
         ds = mixed_treatment_ds((0, 1, 1, 0, 1))
         report = evaluate_recommendations(ds, model)
         assert np.array_equal(report.recommended, np.zeros(5))
+
+
+class TestCompareGroups:
+    @pytest.mark.parametrize("n_masks", [1, 2, 3])
+    def test_each_curve_and_the_two_group_test(self, n_masks):
+        rng = np.random.default_rng(69)
+        times = rng.integers(1, 15, size=90).astype(float)
+        events = (rng.random(90) < 0.7).astype(np.int64)
+        masks = [np.arange(90) % n_masks == k for k in range(n_masks)]
+        curves, test = compare_groups(times, events, masks, alpha=0.2)
+        assert len(curves) == n_masks
+        for curve, mask in zip(curves, masks):
+            want = kaplan_meier(times[mask], events[mask], alpha=0.2)
+            for field in dataclasses.fields(want):
+                assert np.array_equal(getattr(curve, field.name), getattr(want, field.name))
+        if n_masks == 2:
+            a, b = masks
+            assert test == log_rank(times[a], events[a], times[b], events[b])
+        else:
+            assert test is None
+        # the default level draws other bands from the same estimate
+        default, _ = compare_groups(times, events, masks)
+        assert np.array_equal(default[0].survival, curves[0].survival)
+        assert not np.array_equal(default[0].ci_lower, curves[0].ci_lower)
 
 
 class TestEvaluateRecommendations:
