@@ -6,13 +6,11 @@ and random hyperparameter search scored by cross-validated C-index.
 from __future__ import annotations
 
 import os
-import pickle
-import signal
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from coxkit.data import SurvivalDataset, fork_child, reap_child, sort_view, usable_cpus
+from coxkit.data import SurvivalDataset, sort_view, usable_cpus
 from coxkit.metrics import concordance_index
 from coxkit.riskmlp import (
     ACTIVATIONS,
@@ -180,94 +178,13 @@ def _derive_seeds(seed: int, n: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n)]
 
 
-# Fewest validation rows x epochs worth a validation worker. Forking it,
-# piping each epoch's parameters and reaping it cost about 6 ms per `train`
-# (1 ms to fork, 3 ms to reap), against 0.8-0.9 ms of validation per epoch
-# on 1000 rows. Serial -> forked, 1000 validation rows, one BLAS thread,
-# 2 vCPUs of a 2.0 GHz Xeon, medians of 7-31 runs: treatment-train's
-# full-batch 1x45 network, 10 epochs 0.058 -> 0.054 s, 20 epochs 0.113 ->
-# 0.098 s, 25 epochs 0.137 -> 0.116 s, 100 epochs 0.503 -> 0.430 s;
-# linear-wide's minibatch run (d=60, 1x4, batches of 64), 20 epochs 0.223
-# -> 0.225 s, no gain, so 20,000 stays serial.
-_WORKER_ROW_EPOCHS = 25_000
-
-
 def _validate(net: RiskNetwork, val_ds: SurvivalDataset, epoch: int) -> float:
     """The validation C-index of `net` after `epoch`; TrainingDiverged on a
-    non-finite validation risk. The serial loop and the worker both call it."""
+    non-finite validation risk."""
     risks = forward(net, val_ds.covariates)
     if not np.all(np.isfinite(risks)):
         raise TrainingDiverged(f"non-finite validation risks at epoch {epoch}")
     return concordance_index(val_ds.times, val_ds.events, risks)
-
-
-def _serve_validation(net, params, val_ds, pipes) -> None:
-    """The validation worker's body. It closes the parent's ends of `pipes`
-    (param read, param write, result read, result write), validates each
-    parameter vector read until that pipe closes or a validation fails, then
-    writes the curve and the error (or None), pickled, to the result pipe."""
-    param_read, param_write, result_read, result_write = pipes
-    os.close(param_write)
-    os.close(result_read)
-    # a terminal's interrupt reaches the whole process group; the parent
-    # handles it, and still collects the epochs it has sent
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    curve, error = [], None
-    buffer = memoryview(params).cast("B")  # `net`'s arrays are views of it
-    with open(param_read, "rb") as fh:
-        while fh.readinto(buffer) == len(buffer):
-            try:
-                curve.append(_validate(net, val_ds, len(curve)))
-            except Exception as exc:  # raised again in the parent
-                error = exc
-                break
-    try:
-        payload = pickle.dumps((curve, error))
-    except Exception:  # an error that does not pickle is sent as text
-        error = RuntimeError(f"{type(error).__name__}: {error}")
-        payload = pickle.dumps((curve, error))
-    with open(result_write, "wb") as fh:
-        fh.write(payload)
-
-
-class _ValidationWorker:
-    """A child, forked by `data.fork_child`, that validates each epoch's
-    parameters while this process trains the next epoch; see `train`."""
-
-    def __init__(self, net: RiskNetwork, params: np.ndarray, val_ds: SurvivalDataset):
-        pipes = os.pipe() + os.pipe()
-        param_read, self._param_write, self._result_read, result_write = pipes
-        try:
-            self._pid = fork_child(_serve_validation, net, params, val_ds, pipes)
-        except OSError:
-            for fd in pipes:
-                os.close(fd)
-            raise
-        os.close(param_read)
-        os.close(result_write)
-
-    def send(self, params: np.ndarray) -> None:
-        """Queue one epoch's parameters; BrokenPipeError once the child left."""
-        data = memoryview(params).cast("B")
-        while data:
-            data = data[os.write(self._param_write, data) :]
-
-    def collect(self) -> list[float]:
-        """The C-index of every epoch sent, read before the child is reaped
-        (`data.reap_child`); raises the first validation error, or
-        RuntimeError naming how the child ended if it failed."""
-        os.close(self._param_write)
-        try:
-            with open(self._result_read, "rb") as fh:
-                payload = fh.read()
-        finally:
-            reason = reap_child(self._pid)
-        if reason is not None:
-            raise RuntimeError(f"the validation worker died: {reason}")
-        curve, error = pickle.loads(payload)
-        if error is not None:
-            raise error
-        return curve
 
 
 def train(
@@ -279,21 +196,11 @@ def train(
     """Gradient-train a risk network on the negative log partial likelihood.
 
     Full-batch by default, so each epoch's risk sets span the whole training
-    set; `batch_size` switches to within-batch risk sets, a biased but cheaper
+    set; `batch_size` switches to within-batch risk sets, a biased
     approximation. Deterministic for fixed seeds. Raises TrainingDiverged on
-    a non-finite loss or validation risk, naming the epoch.
-
-    With `val_ds`, each epoch's validation C-index is taken from the
-    network's risks on it. On two or more usable CPUs, and from
-    `_WORKER_ROW_EPOCHS` validation rows x epochs, a worker forked by
-    `data.fork_child` takes it: after each epoch this process writes the
-    flat parameter vector down a pipe and trains the next epoch while the
-    worker validates, and it reads the curve back down a second pipe at the
-    end. The worker leaves at its first error, which is raised here with its
-    type and message; when training fails, the worker's error from an
-    earlier epoch comes first, as in the serial loop. The worker is reaped
-    on every path (`data.reap_child`), and one that fails raises
-    RuntimeError naming how it ended. Both ways give the same floats.
+    a non-finite loss or validation risk, naming the epoch. With `val_ds`,
+    each epoch's validation C-index is taken from the network's risks on it,
+    in this process, after the epoch trains.
     """
     if train_ds.n_events == 0:
         raise ValueError("no observed events")
@@ -306,55 +213,39 @@ def train(
     params = _flatten_parameters(net)
     optimizer = _make_optimizer(params, opt_config)
     history = TrainingHistory(val_cindex=None if val_ds is None else [])
-    worker = None
-    if (
-        val_ds is not None
-        and opt_config.epochs * val_ds.n >= _WORKER_ROW_EPOCHS
-        and usable_cpus() >= 2
-    ):
-        worker = _ValidationWorker(net, params, val_ds)
 
-    try:
-        for epoch in range(opt_config.epochs):
-            lr = lr_at_epoch(opt_config.learning_rate, epoch, opt_config.lr_decay_rate)
-            if opt_config.batch_size is None:
-                batches = [(train_ds, full_view)]
-            else:
-                order = batch_rng.permutation(train_ds.n)
-                batches = []
-                for start in range(0, train_ds.n, opt_config.batch_size):
-                    part = train_ds.subset(order[start : start + opt_config.batch_size])
-                    if part.n_events == 0:
-                        continue
-                    batches.append((part, sort_view(part)))
-                if not batches:
-                    raise TrainingDiverged(f"epoch {epoch}: every batch lost its events")
+    for epoch in range(opt_config.epochs):
+        lr = lr_at_epoch(opt_config.learning_rate, epoch, opt_config.lr_decay_rate)
+        if opt_config.batch_size is None:
+            batches = [(train_ds, full_view)]
+        else:
+            order = batch_rng.permutation(train_ds.n)
+            batches = []
+            for start in range(0, train_ds.n, opt_config.batch_size):
+                part = train_ds.subset(order[start : start + opt_config.batch_size])
+                if part.n_events == 0:
+                    continue
+                batches.append((part, sort_view(part)))
+            if not batches:
+                raise TrainingDiverged(f"epoch {epoch}: every batch lost its events")
 
-            epoch_loss = 0.0
-            for batch_ds, batch_view in batches:
-                risks, cache = forward_cached(net, batch_ds.covariates, dropout_rng)
-                loss = cox_loss(risks, batch_ds, batch_view, l2, net)
-                if not np.isfinite(loss):
-                    raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
-                d_risk = cox_loss_grad(risks, batch_ds, batch_view)
-                grads = backward(net, cache, d_risk, l2)
-                if opt_config.clip_norm is not None:
-                    grads = clip_gradients(grads, opt_config.clip_norm)
-                optimizer.step(params, np.concatenate(grads, axis=None), lr)
-                epoch_loss += loss * batch_ds.n
+        epoch_loss = 0.0
+        for batch_ds, batch_view in batches:
+            risks, cache = forward_cached(net, batch_ds.covariates, dropout_rng)
+            loss = cox_loss(risks, batch_ds, batch_view, l2, net)
+            if not np.isfinite(loss):
+                raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
+            d_risk = cox_loss_grad(risks, batch_ds, batch_view)
+            grads = backward(net, cache, d_risk, l2)
+            if opt_config.clip_norm is not None:
+                grads = clip_gradients(grads, opt_config.clip_norm)
+            optimizer.step(params, np.concatenate(grads, axis=None), lr)
+            epoch_loss += loss * batch_ds.n
 
-            history.train_loss.append(epoch_loss / sum(b.n for b, _ in batches))
-            history.learning_rates.append(lr)
-            if worker is not None:
-                worker.send(params)
-            elif val_ds is not None:
-                history.val_cindex.append(_validate(net, val_ds, epoch))
-    except BaseException:
-        if worker is not None:
-            worker.collect()  # raises a validation error of an earlier epoch
-        raise
-    if worker is not None:
-        history.val_cindex = worker.collect()
+        history.train_loss.append(epoch_loss / sum(b.n for b, _ in batches))
+        history.learning_rates.append(lr)
+        if val_ds is not None:
+            history.val_cindex.append(_validate(net, val_ds, epoch))
     return net, history
 
 

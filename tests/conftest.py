@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from coxkit import data, optim
+from coxkit import data
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -38,10 +38,8 @@ def forks(monkeypatch):
 @pytest.fixture
 def cpus(monkeypatch, forks):
     """Sets the CPUs every forking site sees, with one cell enough for a
-    part of `data.write_columns` and one validation row x epoch enough for
-    a validation worker of `optim.train`."""
+    part of `data.write_columns`."""
     monkeypatch.setattr(data, "_PART_CELLS", 1)
-    monkeypatch.setattr(optim, "_WORKER_ROW_EPOCHS", 1)
 
     def set_cpus(k):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)),

@@ -2,7 +2,6 @@ import itertools
 import json
 import multiprocessing
 import os
-import signal
 import subprocess
 import sys
 import warnings
@@ -30,7 +29,6 @@ from coxkit.optim import (
 from coxkit.riskmlp import NetworkConfig, forward, from_dict, to_dict
 from coxkit.simulate import SimulationSpec, generate
 from helpers import (
-    assert_no_child_left,
     random_dataset,
     reference_random_search,
     reference_train,
@@ -105,32 +103,6 @@ class TestOptimizers:
         assert params[0] < 0 < params[1]
 
 
-def assert_same_floats_as_reference(kind, batch_size, clip_norm) -> int:
-    """Train twelve networks by `train` and by `helpers.reference_train`, and
-    compare every float; returns how many trainings there were."""
-    rng = np.random.default_rng(41)
-    # heavy censoring leaves some batches of 8 without an event
-    ds = random_dataset(rng, n=100, d=4, censor_fraction=0.6)
-    val = random_dataset(rng, n=30, d=4)
-    configs = list(itertools.product([0.0, 0.4], [1, 2, 3], ["relu", "selu"]))
-    for dropout, layers, activation in configs:
-        net_cfg = NetworkConfig(layers, 5, activation, dropout, l2_coefficient=0.5)
-        opt_cfg = OptimizerConfig(
-            kind, 1e-3, 0.1, clip_norm=clip_norm, epochs=3,
-            batch_size=batch_size, seed=layers,
-        )
-        got_net, got = train(ds, net_cfg, opt_cfg, val)
-        want_net, want = reference_train(ds, net_cfg, opt_cfg, val)
-        for a, b in zip(
-            got_net.weights + got_net.biases, want_net.weights + want_net.biases
-        ):
-            assert np.array_equal(a, b)
-        assert got.train_loss == want.train_loss
-        assert got.val_cindex == want.val_cindex
-        assert got.learning_rates == want.learning_rates
-    return len(configs)
-
-
 class TestTrainMatchesReference:
     """`train` steps all parameters as one flat vector and builds batches
     with `subset`; `helpers.reference_train` steps each array on its own and
@@ -140,7 +112,27 @@ class TestTrainMatchesReference:
     @pytest.mark.parametrize("batch_size", [None, 8, 64])
     @pytest.mark.parametrize("clip_norm", [None, 1e-3])
     def test_same_floats(self, kind, batch_size, clip_norm):
-        assert_same_floats_as_reference(kind, batch_size, clip_norm)
+        rng = np.random.default_rng(41)
+        # heavy censoring leaves some batches of 8 without an event
+        ds = random_dataset(rng, n=100, d=4, censor_fraction=0.6)
+        val = random_dataset(rng, n=30, d=4)
+        for dropout, layers, activation in itertools.product(
+            [0.0, 0.4], [1, 2, 3], ["relu", "selu"]
+        ):
+            net_cfg = NetworkConfig(layers, 5, activation, dropout, l2_coefficient=0.5)
+            opt_cfg = OptimizerConfig(
+                kind, 1e-3, 0.1, clip_norm=clip_norm, epochs=3,
+                batch_size=batch_size, seed=layers,
+            )
+            got_net, got = train(ds, net_cfg, opt_cfg, val)
+            want_net, want = reference_train(ds, net_cfg, opt_cfg, val)
+            for a, b in zip(
+                got_net.weights + got_net.biases, want_net.weights + want_net.biases
+            ):
+                assert np.array_equal(a, b)
+            assert got.train_loss == want.train_loss
+            assert got.val_cindex == want.val_cindex
+            assert got.learning_rates == want.learning_rates
 
     def test_returned_network_round_trips_and_copies_apart(self):
         ds = random_dataset(np.random.default_rng(42), n=40)
@@ -253,76 +245,69 @@ class TestTrain:
         _, history = train(tr, net_cfg, opt_cfg, va)
         assert history.val_cindex[-1] > 0.70
 
+    @pytest.mark.parametrize("batch_size", [None, 8])
+    def test_epochs_are_a_prefix_of_longer_runs(self, batch_size):
+        # epoch e draws the same batches, dropout masks and learning rate
+        # however many epochs follow it
+        rng = np.random.default_rng(43)
+        ds, val = random_dataset(rng, n=40, d=3), random_dataset(rng, n=20, d=3)
+        net_cfg = NetworkConfig(2, 5, dropout_rate=0.3)
 
-def _failure(train_args, n_cpus, cpus):
-    """`type: message` of the error `train(*train_args)` raises on `n_cpus`
-    CPUs, set by the `cpus` fixture; no process may be left behind."""
-    cpus(n_cpus)
-    with pytest.raises(BaseException) as info:
-        train(*train_args)
-    assert_no_child_left()
-    return f"{info.type.__name__}: {info.value}"
+        def history(epochs):
+            opt_cfg = OptimizerConfig(
+                "sgd", 1e-2, 0.5, epochs=epochs, batch_size=batch_size, seed=11
+            )
+            return train(ds, net_cfg, opt_cfg, val)[1]
 
+        full = history(8)
+        for k in (1, 3, 7):
+            part = history(k)
+            assert part.train_loss == full.train_loss[:k]
+            assert part.val_cindex == full.val_cindex[:k]
+            assert part.learning_rates == full.learning_rates[:k]
 
-class TestValidationWorker:
-    """On two or more CPUs and from `_WORKER_ROW_EPOCHS` validation rows x
-    epochs, a forked worker validates each epoch; it gives the serial loop's
-    floats and errors, and no process outlives `train`."""
-
-    @pytest.mark.parametrize("n_cpus", [1, 2])
-    @pytest.mark.parametrize("kind", ["sgd", "adam"])
-    @pytest.mark.parametrize("batch_size", [None, 8, 64])
-    @pytest.mark.parametrize("clip_norm", [None, 1e-3])
-    def test_same_floats(self, cpus, forks, n_cpus, kind, batch_size, clip_norm):
-        cpus(n_cpus)
-        trainings = assert_same_floats_as_reference(kind, batch_size, clip_norm)
-        assert len(forks) == (trainings if n_cpus > 1 else 0)
-        assert_no_child_left()
-
-    def test_forks_only_from_the_constant_on_two_cpus(self, monkeypatch, forks):
-        ds, val = TestTrain.linear_toy(40), TestTrain.linear_toy(20, seed=7)
+    def test_validation_forks_nothing_on_two_cpus(self, monkeypatch, forks):
+        # 250 validation rows x 100 epochs, on two usable CPUs
+        rng = np.random.default_rng(44)
+        ds, val = random_dataset(rng, n=30, d=2), random_dataset(rng, n=250, d=2)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(optim, "_WORKER_ROW_EPOCHS", 100)
-        train(ds, NetworkConfig(), OptimizerConfig(epochs=4), val)  # 80 row-epochs
-        train(ds, NetworkConfig(), OptimizerConfig(epochs=5))  # no validation set
+        _, history = train(ds, NetworkConfig(1, 2), OptimizerConfig(epochs=100), val)
+        assert len(history.val_cindex) == 100
         assert not forks
-        train(ds, NetworkConfig(), OptimizerConfig(epochs=5), val)
-        assert len(forks) == 1
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        train(ds, NetworkConfig(), OptimizerConfig(epochs=5), val)
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        train(ds, NetworkConfig(), OptimizerConfig(epochs=5), val)
-        assert len(forks) == 1
-        assert_no_child_left()
+
+    @staticmethod
+    def _failure(*train_args):
+        """`type: message` of the error `train(*train_args)` raises."""
+        with pytest.raises(BaseException) as info:
+            train(*train_args)
+        return f"{info.type.__name__}: {info.value}"
 
     @pytest.mark.parametrize("action, error", [
         ("ignore", "TrainingDiverged: non-finite validation risks at epoch 0"),
         ("error", "RuntimeWarning: overflow encountered in matmul"),
     ])
-    def test_overflowing_validation_set(self, cpus, action, error):
+    def test_overflowing_validation_set(self, action, error):
         rng = np.random.default_rng(41)
         ds, val = random_dataset(rng, n=100, d=4), random_dataset(rng, n=30, d=4)
         # finite, valid covariates whose products overflow
         val = SurvivalDataset(np.sign(val.covariates) * 1e308, val.times, val.events)
-        args = (ds, NetworkConfig(2, 8), OptimizerConfig(epochs=5), val)
         with warnings.catch_warnings():
             warnings.simplefilter(action, RuntimeWarning)
-            assert _failure(args, 1, cpus) == error
-            assert _failure(args, 2, cpus) == error
+            failure = self._failure(ds, NetworkConfig(2, 8), OptimizerConfig(epochs=5), val)
+        assert failure == error
 
     @pytest.mark.parametrize("lr, error", [
         (1e2, "non-finite validation risks at epoch 45"),
         (1e3, "non-finite loss at epoch 36"),
     ])
-    def test_divergence_names_the_serial_epoch(self, cpus, lr, error):
+    def test_divergence_names_the_serial_epoch(self, lr, error):
         rng = np.random.default_rng(41)
         ds, val = random_dataset(rng, n=100, d=4), random_dataset(rng, n=30, d=4)
         opt_cfg = OptimizerConfig("sgd", lr, momentum=0.0, epochs=100, seed=5)
-        args = (ds, NetworkConfig(1, 4), opt_cfg, val)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            assert _failure(args, 1, cpus) == f"TrainingDiverged: {error}"
-            assert _failure(args, 2, cpus) == f"TrainingDiverged: {error}"
+            failure = self._failure(ds, NetworkConfig(1, 4), opt_cfg, val)
+        assert failure == f"TrainingDiverged: {error}"
 
     @staticmethod
     def _on_loss_call(monkeypatch, epoch, act):
@@ -358,44 +343,30 @@ class TestValidationWorker:
         "TrainingDiverged: non-finite loss at epoch 3", "KeyboardInterrupt: ",
     ])
     def test_earlier_validation_error_comes_first(
-        self, cpus, monkeypatch, bad_epoch, error, parent_error
+        self, monkeypatch, bad_epoch, error, parent_error
     ):
         def fail(loss):
             if parent_error.startswith("KeyboardInterrupt"):
                 raise KeyboardInterrupt
             return np.nan
 
-        ds, val = TestTrain.linear_toy(40), TestTrain.linear_toy(20, seed=7)
-        args = (ds, NetworkConfig(), OptimizerConfig(epochs=10), val)
-        for n_cpus in (1, 2):
-            self._nan_validation(monkeypatch, bad_epoch)
-            self._on_loss_call(monkeypatch, 3, fail)
-            assert _failure(args, n_cpus, cpus) == (error or parent_error)
+        self._nan_validation(monkeypatch, bad_epoch)
+        self._on_loss_call(monkeypatch, 3, fail)
+        ds, val = self.linear_toy(40), self.linear_toy(20, seed=7)
+        failure = self._failure(ds, NetworkConfig(), OptimizerConfig(epochs=10), val)
+        assert failure == (error or parent_error)
 
-    def test_dead_worker_is_named(self, cpus, monkeypatch, forks):
-        def kill(loss):
-            os.kill(forks[-1], signal.SIGKILL)
-            return loss
-
-        self._on_loss_call(monkeypatch, 3, kill)
-        ds, val = TestTrain.linear_toy(40), TestTrain.linear_toy(20, seed=7)
-        args = (ds, NetworkConfig(), OptimizerConfig(epochs=10), val)
-        message = f"RuntimeError: the validation worker died: killed by signal {signal.SIGKILL:d}"
-        assert _failure(args, 2, cpus) == message
-        assert len(forks) == 1
-
-    def test_error_that_does_not_pickle_is_sent_as_text(self, cpus, monkeypatch):
-        class LocalError(Exception):  # a local class does not pickle
+    def test_validation_error_propagates_with_its_own_type(self, monkeypatch):
+        class LocalError(Exception):
             pass
 
         def forward_fails(net, x):
             raise LocalError("no risks")
 
         monkeypatch.setattr(optim, "forward", forward_fails)
-        ds, val = TestTrain.linear_toy(40), TestTrain.linear_toy(20, seed=7)
-        args = (ds, NetworkConfig(), OptimizerConfig(epochs=3), val)
-        assert _failure(args, 1, cpus) == "LocalError: no risks"
-        assert _failure(args, 2, cpus) == "RuntimeError: LocalError: no risks"
+        ds, val = self.linear_toy(40), self.linear_toy(20, seed=7)
+        failure = self._failure(ds, NetworkConfig(), OptimizerConfig(epochs=3), val)
+        assert failure == "LocalError: no risks"
 
 
 class TestKfold:
