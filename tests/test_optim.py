@@ -106,12 +106,15 @@ class TestOptimizers:
 class TestTrainMatchesReference:
     """`train` steps all parameters as one flat vector and builds batches
     with `subset`; `helpers.reference_train` steps each array on its own and
-    builds batches through the validating constructor. Every float agrees."""
+    builds batches through the validating constructor. Every float agrees,
+    on one usable CPU or two, and `train` forks nothing."""
 
+    @pytest.mark.parametrize("n_cpus", [1, 2])
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     @pytest.mark.parametrize("batch_size", [None, 8, 64])
     @pytest.mark.parametrize("clip_norm", [None, 1e-3])
-    def test_same_floats(self, kind, batch_size, clip_norm):
+    def test_same_floats(self, cpus, forks, n_cpus, kind, batch_size, clip_norm):
+        cpus(n_cpus)
         rng = np.random.default_rng(41)
         # heavy censoring leaves some batches of 8 without an event
         ds = random_dataset(rng, n=100, d=4, censor_fraction=0.6)
@@ -133,6 +136,7 @@ class TestTrainMatchesReference:
             assert got.train_loss == want.train_loss
             assert got.val_cindex == want.val_cindex
             assert got.learning_rates == want.learning_rates
+        assert not forks
 
     def test_returned_network_round_trips_and_copies_apart(self):
         ds = random_dataset(np.random.default_rng(42), n=40)
@@ -245,17 +249,21 @@ class TestTrain:
         _, history = train(tr, net_cfg, opt_cfg, va)
         assert history.val_cindex[-1] > 0.70
 
-    @pytest.mark.parametrize("batch_size", [None, 8])
-    def test_epochs_are_a_prefix_of_longer_runs(self, batch_size):
-        # epoch e draws the same batches, dropout masks and learning rate
-        # however many epochs follow it
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("batch_size", [None, 8, 64])
+    @pytest.mark.parametrize("clip_norm", [None, 1e-3])
+    def test_epochs_are_a_prefix_of_longer_runs(self, kind, batch_size, clip_norm):
+        # epoch e draws the same batches, dropout masks, learning rate and
+        # optimizer state however many epochs follow it; 100 rows leave a
+        # short last batch of 64
         rng = np.random.default_rng(43)
-        ds, val = random_dataset(rng, n=40, d=3), random_dataset(rng, n=20, d=3)
+        ds, val = random_dataset(rng, n=100, d=3), random_dataset(rng, n=20, d=3)
         net_cfg = NetworkConfig(2, 5, dropout_rate=0.3)
 
         def history(epochs):
             opt_cfg = OptimizerConfig(
-                "sgd", 1e-2, 0.5, epochs=epochs, batch_size=batch_size, seed=11
+                kind, 1e-2, 0.5, clip_norm=clip_norm, epochs=epochs,
+                batch_size=batch_size, seed=11,
             )
             return train(ds, net_cfg, opt_cfg, val)[1]
 
@@ -265,6 +273,23 @@ class TestTrain:
             assert part.train_loss == full.train_loss[:k]
             assert part.val_cindex == full.val_cindex[:k]
             assert part.learning_rates == full.learning_rates[:k]
+
+    @pytest.mark.parametrize("batch_size", [None, 8])
+    def test_validation_leaves_training_unchanged(self, batch_size):
+        # scoring an epoch draws no random number and moves no parameter
+        rng = np.random.default_rng(45)
+        ds, val = random_dataset(rng, n=40, d=3), random_dataset(rng, n=20, d=3)
+        net_cfg = NetworkConfig(2, 5, dropout_rate=0.3)
+        opt_cfg = OptimizerConfig(epochs=6, batch_size=batch_size, seed=12)
+        with_net, with_val = train(ds, net_cfg, opt_cfg, val)
+        without_net, without_val = train(ds, net_cfg, opt_cfg)
+        for a, b in zip(
+            with_net.weights + with_net.biases, without_net.weights + without_net.biases
+        ):
+            assert np.array_equal(a, b)
+        assert with_val.train_loss == without_val.train_loss
+        assert with_val.learning_rates == without_val.learning_rates
+        assert len(with_val.val_cindex) == 6 and not without_val.val_cindex
 
     def test_validation_forks_nothing_on_two_cpus(self, monkeypatch, forks):
         # 250 validation rows x 100 epochs, on two usable CPUs
